@@ -19,7 +19,6 @@ from repro.data import build_benchmark, cifar100_like, create_scenario
 from repro.federated import (
     ClientUpdate,
     FedAvgServer,
-    ProcessRoundEngine,
     ShardedAggregator,
     TrainConfig,
     create_trainer,
@@ -165,7 +164,7 @@ def test_sharded_merge_64_clients(benchmark):
     assert all(np.array_equal(reference[k], out[k]) for k in reference)
 
 
-def _process_round_work(seed: int) -> float:
+def _round_work(seed: int) -> float:
     """Picklable stand-in for one client's round work (numpy-bound)."""
     rng = np.random.default_rng(seed)
     matrix = rng.normal(size=(96, 96))
@@ -173,52 +172,22 @@ def _process_round_work(seed: int) -> float:
 
 
 @pytest.fixture(scope="module")
-def process_engine():
-    engine = ProcessRoundEngine(max_workers=2)
-    yield engine
-    engine.close()
-
-
-def test_process_round_8_clients(benchmark, process_engine):
-    """An 8-item round dispatched through the process engine — times the
-    pickle/IPC overhead the GIL-free engine pays per round."""
-    results = benchmark(
-        lambda: process_engine.map(_process_round_work, range(8))
-    )
-    assert len(results) == 8
-
-
-@pytest.fixture(scope="module")
 def socket_engine():
     from repro.serve import SocketRoundEngine
 
     engine = SocketRoundEngine(max_workers=2)
-    engine.map(_process_round_work, range(8))  # spawn + handshake once
+    engine.map(_round_work, range(8))  # spawn + handshake once
     yield engine
     engine.close()
 
 
-def test_socket_round_8c(benchmark, socket_engine, process_engine):
-    """The same 8-item round over the serve subsystem's framed TCP
-    protocol.  Asserts the socket engine's acceptance bar — per-round
-    framing overhead within 1.5x of the process engine's tmpfs file IPC
-    (best-of-5 on each side)."""
-    process_engine.map(_process_round_work, range(8))  # warm both sides
-
-    def socket_round():
-        return socket_engine.map(_process_round_work, range(8))
-
-    def process_round():
-        return process_engine.map(_process_round_work, range(8))
-
-    socket_best = min(_seconds(socket_round) for _ in range(5))
-    process_best = min(_seconds(process_round) for _ in range(5))
-    results = benchmark(socket_round)
-    assert len(results) == 8
-    assert socket_best <= 1.5 * process_best, (
-        f"socket round {socket_best:.4f}s > 1.5x process round "
-        f"{process_best:.4f}s"
+def test_socket_round_8c(benchmark, socket_engine):
+    """An 8-item round dispatched through the socket engine — times the
+    pickle/framing overhead the GIL-free engine pays per round."""
+    results = benchmark(
+        lambda: socket_engine.map(_round_work, range(8))
     )
+    assert len(results) == 8
 
 
 @pytest.fixture(scope="module")

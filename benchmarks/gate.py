@@ -30,7 +30,6 @@ from repro.data import cifar100_like, create_scenario
 from repro.federated import (
     ClientUpdate,
     FedAvgServer,
-    ProcessRoundEngine,
     ShardedAggregator,
     TrainConfig,
     create_trainer,
@@ -246,13 +245,6 @@ def hot_path_cases() -> dict[str, float]:
             zip(client_states * 4, rng.integers(10, 100, size=64))
         )
     ]
-    process_engine = ProcessRoundEngine(max_workers=2)
-    try:
-        process_round_8c = best_seconds(
-            lambda: process_engine.map(_gate_round_work, range(8))
-        )
-    finally:
-        process_engine.close()
     socket_engine = SocketRoundEngine(max_workers=2)
     try:
         socket_engine.map(_gate_round_work, range(8))  # spawn + handshake
@@ -285,9 +277,8 @@ def hot_path_cases() -> dict[str, float]:
                 sharded_updates
             )
         ),
-        # dispatch + pickle/IPC overhead of one small process-engine round
-        # (the pool is warm; measures the per-round tax, not spawn)
-        "process_round_8c": process_round_8c,
+        # dispatch + pickle/framing overhead of one small socket-engine
+        # round (workers are warm; measures the per-round tax, not spawn)
         "socket_round_8c": socket_round_8c,
         # lazy scenario construction must stay O(clients): the 64-client
         # stream build may not silently start materializing task arrays

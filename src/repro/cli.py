@@ -103,18 +103,18 @@ def _add_run_arguments(run_p: argparse.ArgumentParser,
     run_p.add_argument("--tasks", type=int, default=None)
     run_p.add_argument("--seed", type=int, default=0)
     run_p.add_argument("--engine", default="serial",
-                       help="round engine: 'serial', 'thread[:W]', "
-                            "'process[:W]' — W workers of concurrent client "
-                            "execution — 'batched[:B]' — B clients "
-                            "stacked per captured-graph replay — or "
-                            "'socket[:W]' — W socket-connected worker "
-                            "processes with sticky client affinity "
-                            "(identical metrics, faster wall clock)")
+                       help="round engine: 'serial', 'thread[:W]' — W "
+                            "threads of concurrent client execution — "
+                            "'batched[:B]' — B clients stacked per "
+                            "captured-graph replay — or 'socket[:W]' — W "
+                            "socket-connected worker processes with sticky "
+                            "client affinity (identical metrics, faster "
+                            "wall clock)")
     run_p.add_argument("--shards", type=int, default=1,
                        help="partition each round's aggregation across this "
                             "many streaming shard accumulators (identical "
-                            "global states; per-shard counts and merge time "
-                            "land on the round records)")
+                            "global states; per-shard counts land on the "
+                            "round records)")
     run_p.add_argument("--scenario", default="class-inc",
                        help="data scenario family: 'class-inc' (the paper's "
                             "setup), 'domain-inc[:drift=R]', "
@@ -324,11 +324,7 @@ def _cmd_run(args) -> int:
         print("error: --fp16 requires --wire v2", file=sys.stderr)
         return 2
     try:
-        from .federated import (
-            BATCH_SAFE_METHODS,
-            PROCESS_UNSAFE_METHODS,
-            create_engine,
-        )
+        from .federated import create_engine
 
         engine = create_engine(args.engine)
         engine.close()
@@ -336,17 +332,10 @@ def _cmd_run(args) -> int:
         message = error.args[0] if error.args else error
         print(f"error: invalid --engine: {message}", file=sys.stderr)
         return 2
-    if engine.needs_pickling and args.method in PROCESS_UNSAFE_METHODS:
+    reason = engine.rejects(args.method)
+    if reason is not None:
         print(f"error: --engine {args.engine} cannot run {args.method!r}: "
-              f"its clients exchange state with the live server mid-round; "
-              f"use --engine serial or thread", file=sys.stderr)
-        return 2
-    if (getattr(engine, "batches_clients", False)
-            and args.method not in BATCH_SAFE_METHODS):
-        print(f"error: --engine {args.engine} cannot run {args.method!r}: "
-              f"its local step is not a pure loss→backward→SGD "
-              f"update; batch-safe methods: "
-              f"{', '.join(sorted(BATCH_SAFE_METHODS))}", file=sys.stderr)
+              f"{reason}", file=sys.stderr)
         return 2
     if args.shards < 1:
         print(f"error: --shards must be >= 1, got {args.shards}",

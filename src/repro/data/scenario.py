@@ -389,7 +389,7 @@ class _TaskMaterializer:
     """Picklable per-client task builder.
 
     A plain class (not a closure) so client data — and therefore whole
-    clients — can cross process boundaries: the process round engine and
+    clients — can cross process boundaries: the socket round engine and
     its pickle-safety tests rely on task streams being picklable.  Holds
     exactly the state the old closure captured; ``seq_rng`` is the threaded
     legacy-replay generator of sequential scenarios (``None`` for
@@ -450,7 +450,8 @@ class _TaskMaterializer:
 class ClientDataFactory:
     """Picklable recipe that rebuilds a scenario benchmark deterministically.
 
-    Process round engines ship this to workers instead of the data itself:
+    The socket round engine ships this to its workers instead of the data
+    itself:
     the factory re-runs ``scenario.build(spec, num_clients, default_rng(seed))``
     — the exact construction the experiment runner performed — so a worker's
     lazily rebuilt task arrays are bit-identical to the parent's.  Only

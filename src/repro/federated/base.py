@@ -136,9 +136,9 @@ class FederatedClient:
         boundary; returns the detached data so the caller can reattach it.
 
         Task data is deterministic and reconstructible (see
-        :class:`~repro.data.scenario.ClientDataFactory`), so process round
-        engines ship clients without it — workers rebuild the data locally
-        instead of every round paying to pickle the task arrays.
+        :class:`~repro.data.scenario.ClientDataFactory`), so the socket
+        round engine ships clients without it — its workers rebuild the data
+        locally instead of paying to pickle the task arrays.
         """
         data = self.data
         self.data = None

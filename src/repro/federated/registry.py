@@ -109,7 +109,7 @@ def resolve_selector(method: str, selector: str | None = None) -> str:
     return create_selector(selector).describe()
 
 #: Methods whose clients exchange state with the live server mid-round and
-#: therefore cannot run on a process engine (derived from the client
+#: therefore cannot run on the socket engine (derived from the client
 #: classes' ``process_safe`` flags so it cannot drift from them).
 PROCESS_UNSAFE_METHODS: tuple[str, ...] = tuple(
     name
@@ -161,10 +161,11 @@ def create_trainer(
     """Build a :class:`FederatedTrainer` running ``method`` on ``benchmark``.
 
     ``engine`` accepts instance or spec (``"serial"``, ``"thread[:W]"``,
-    ``"process[:W]"``); ``shards`` > 1 partitions each round's aggregation
-    across that many streaming shard accumulators; ``data_factory`` is the
-    picklable :class:`~repro.data.scenario.ClientDataFactory` process
-    engines use to rebuild task data inside workers.  ``population``
+    ``"batched[:B]"``, ``"socket[:W]"``); ``shards`` > 1 partitions each
+    round's aggregation across that many streaming shard accumulators;
+    ``data_factory`` is the picklable
+    :class:`~repro.data.scenario.ClientDataFactory` the socket engine uses
+    to rebuild task data inside its workers.  ``population``
     (a spec like ``"pareto:1.5,churn=300/600"`` or a
     :class:`~repro.edge.arrivals.PopulationModel`) switches to the
     event-driven :class:`~repro.federated.simulation.EventDrivenTrainer`,

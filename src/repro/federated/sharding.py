@@ -33,7 +33,6 @@ unchanged.
 
 from __future__ import annotations
 
-import time
 from typing import Sequence
 
 import numpy as np
@@ -57,27 +56,19 @@ class ShardedAggregator:
     groups are assigned to ``num_shards`` shard accumulators, and the
     segment partials are folded in fixed order before the result is handed
     to the server through ``install_aggregate``.  ``engine`` optionally
-    maps the per-shard accumulation onto a
-    :class:`~repro.federated.engine.RoundEngine` (serial or thread; process
-    engines are rejected — shard accumulation closes over live update
-    objects and the partial sums would cost more to ship than to compute).
+    maps the per-shard accumulation onto an in-process
+    :class:`~repro.federated.engine.RoundEngine` (the thread engine passes
+    itself): shard accumulation closes over live update objects.
     """
 
     def __init__(self, server: FedAvgServer, num_shards: int, engine=None):
         if num_shards < 1:
             raise ValueError(f"need at least one shard, got {num_shards}")
-        if engine is not None and getattr(engine, "needs_pickling", False):
-            raise ValueError(
-                "shard accumulation cannot run on a process engine; "
-                "use a serial or thread engine for shards"
-            )
         self.server = server
         self.num_shards = num_shards
         self.engine = engine
         #: Updates each shard accumulated in the most recent round.
         self.last_shard_counts: tuple[int, ...] = ()
-        #: Seconds the most recent round spent folding segment partials.
-        self.last_merge_seconds: float = 0.0
 
     @property
     def global_state(self):
@@ -127,9 +118,7 @@ class ShardedAggregator:
             sum(seg.stop - seg.start for seg in segments[group])
             for group in groups
         )
-        started = time.perf_counter()
         merged = self.merge([p for group in per_group for p in group])
-        self.last_merge_seconds = time.perf_counter() - started
         return self.server.install_aggregate(merged)
 
     def merge(

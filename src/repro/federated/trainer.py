@@ -22,11 +22,11 @@ policies:
   who downloads the new global state;
 * a :class:`~repro.federated.engine.RoundEngine` schedules the per-client
   work of a phase: the serial engine preserves the reference execution
-  order, while the threaded and process engines run the clients of a round
+  order, while the thread and socket engines run the clients of a round
   concurrently with bit-identical results.  Phases are picklable callables
-  that return ``(result, client)`` pairs: in-process engines hand back the
-  same (mutated) client object, process engines hand back the worker's
-  mutated replica and the trainer adopts it;
+  that mutate their client and return only their result; the trainer
+  reaches the engine only through the hooks ``RoundEngine`` declares, and
+  adopts the replicas an engine hands back at the end of each task;
 * a :class:`~repro.federated.transport.Transport` owns everything between
   ``prepare_upload`` and ``aggregate_updates``: per-client negotiated
   channels price every payload (wire v1/v2, dense/delta/sparse uploads,
@@ -37,15 +37,15 @@ policies:
 * with ``shards > 1`` a :class:`~repro.federated.sharding.ShardedAggregator`
   partitions each round's updates across K independent streaming
   accumulators and merges their partials in fixed order — bit-identical to
-  the unsharded server on float32 states, with per-shard counts and merge
-  time recorded on the :class:`~repro.metrics.tracker.RoundRecord`.
+  the unsharded server on float32 states, with per-shard counts recorded
+  on the :class:`~repro.metrics.tracker.RoundRecord`.
 
 A round where nobody reports and no straggler work is pending leaves the
 global model untouched and is recorded as **skipped** — empty rounds never
 reach the aggregator (which rejects them with a :class:`ValueError`).
 
 The trainer is a context manager; it owns its engine and closes it on exit,
-so threaded and process engines cannot leak their pools.
+so thread and socket engines cannot leak their pools.
 """
 
 from __future__ import annotations
@@ -65,17 +65,10 @@ from ..obs import trace as _obs_trace
 from ..utils.serialization import encoded_num_bytes
 from .base import FederatedClient
 from .config import TrainConfig
-from .engine import (
-    RoundEngine,
-    StateHandle,
-    ThreadedRoundEngine,
-    create_engine,
-    worker_client_data,
-)
+from .engine import RoundEngine, StateHandle, create_engine
 from .participation import ParticipationPolicy, create_policy
 from .protocol import ClientUpdate, RoundOutcome, RoundPlan
 from .server import FedAvgServer
-from .sharding import ShardedAggregator
 from .transport import Channel, Transport, create_transport
 
 # Cached instrument handles (always-on; ``drain`` zeroes them in place).
@@ -132,30 +125,25 @@ class RoundContext:
 class _TrainPhase:
     """One client's local-training + upload leg of a round.
 
-    Picklable (no closures): process engines ship it to workers, where
-    ``strip_data`` clients reattach worker-rebuilt task data on entry and
-    shed it again before the return trip.  Returns ``(update, client)`` so
-    the trainer can adopt the mutated client whichever side it ran on.
+    Picklable (no closures): the socket engine ships it to its workers.
+    Trains the client in place and returns its :class:`ClientUpdate`.
     """
 
-    def __init__(self, ctx: RoundContext, strip_data: bool):
+    def __init__(self, ctx: RoundContext):
         self.ctx = ctx
-        self.strip_data = strip_data
 
-    def __call__(self, client: FederatedClient):
+    def __call__(self, client: FederatedClient) -> ClientUpdate:
         tracer = _obs_trace.TRACER
         if not tracer.enabled:
             return self._train(client)
-        # worker-side on process/socket engines: the span parents under
-        # the adopted round context and ships back with the phase result
+        # worker-side on the socket engine: the span parents under the
+        # adopted round context and ships back with the phase result
         with tracer.span("train_client", client=client.client_id) as span:
-            update, client = self._train(client)
+            update = self._train(client)
             span.attrs["upload_bytes"] = update.upload_bytes
-        return update, client
+        return update
 
-    def _train(self, client: FederatedClient):
-        if client.data is None:
-            client.attach_data(worker_client_data(client.client_id))
+    def _train(self, client: FederatedClient) -> ClientUpdate:
         ctx = self.ctx
         stats = client.local_train(ctx.config.iterations_per_round)
         channel = ctx.channel_for(client)
@@ -172,9 +160,7 @@ class _TrainPhase:
         update.sim_seconds = ctx.train_seconds(
             client, update.compute_units
         ) + channel.upload_seconds(up)
-        if self.strip_data:
-            client.detach_data()
-        return update, client
+        return update
 
     def prepare_batched(self, engine, clients) -> None:
         """Batched-engine hook: run every participant's local SGD as one
@@ -188,35 +174,25 @@ class _ReceivePhase:
 
     The broadcast state arrives through the engine's
     :class:`~repro.federated.engine.StateHandle` — in-process engines pass
-    the dict straight through, process engines decode a shared-memory copy
-    once per worker.  Returns ``(download_bytes, compute_units, client)``.
+    the dict straight through, socket workers decode a shared copy once per
+    broadcast.  Returns ``(download_bytes, compute_units)``.
     """
 
     def __init__(
-        self,
-        ctx: RoundContext,
-        handle: StateHandle,
-        round_index: int,
-        strip_data: bool,
+        self, ctx: RoundContext, handle: StateHandle, round_index: int
     ):
         self.ctx = ctx
         self.handle = handle
         self.round_index = round_index
-        self.strip_data = strip_data
 
-    def __call__(self, client: FederatedClient):
-        if client.data is None:
-            client.attach_data(worker_client_data(client.client_id))
+    def __call__(self, client: FederatedClient) -> tuple[int, float]:
         state = self.handle.resolve()
         channel = self.ctx.channel_for(client)
         down = self.ctx.real_bytes(
             channel.download_num_bytes(state) + client.extra_download_bytes()
         )
         client.receive_global(state, self.round_index)
-        units = client.take_compute_units()
-        if self.strip_data:
-            client.detach_data()
-        return down, units, client
+        return down, client.take_compute_units()
 
 
 class FederatedTrainer:
@@ -257,61 +233,17 @@ class FederatedTrainer:
         if shards < 1:
             raise ValueError(f"need at least one shard, got {shards}")
         self.shards = shards
-        # shard accumulation rides the trainer's thread pool when one is
-        # configured (identical math — regression-tested); serial and
-        # process round engines accumulate shards sequentially (shipping
-        # shard partials across a process boundary costs more than the
-        # accumulation itself).  Socket engines invert that trade: their
-        # workers already hold the round's dense update states, so segment
-        # partials are accumulated remotely and only float64 sums cross
-        # the wire (fixed merge tree — still bit-identical).
-        if shards <= 1:
-            self.aggregator = None
-        elif getattr(self.engine, "remote_partials", False):
-            from ..serve.server import RemoteShardedAggregator
-
-            self.aggregator = RemoteShardedAggregator(
-                server, shards, socket_engine=self.engine
-            )
-        else:
-            self.aggregator = ShardedAggregator(
-                server,
-                shards,
-                engine=self.engine
-                if isinstance(self.engine, ThreadedRoundEngine)
-                else None,
-            )
+        self.engine.bind(clients, data_factory)
+        self.aggregator = (
+            self.engine.sharded_aggregator(server, shards) if shards > 1
+            else None
+        )
         self.policy = create_policy(
             participation if participation is not None else config.participation,
             seed=config.seed,
         )
-        self._data_factory = data_factory
-        if self.engine.needs_pickling:
-            unsafe = sorted(
-                {c.method_name for c in clients if not c.process_safe}
-            )
-            if unsafe:
-                raise ValueError(
-                    f"method(s) {unsafe} exchange state with the live server "
-                    f"mid-round and cannot run on a process engine; use "
-                    f"'serial' or 'thread'"
-                )
-            if data_factory is not None:
-                install = getattr(self.engine, "set_data_factory", None)
-                if install is not None:
-                    install(data_factory)
-        if getattr(self.engine, "batches_clients", False):
-            unsafe = sorted(
-                {c.method_name for c in clients if not c.batch_safe}
-            )
-            if unsafe:
-                raise ValueError(
-                    f"method(s) {unsafe} keep per-step strategy state or "
-                    f"rewrite gradients and cannot run on the batched "
-                    f"engine; use 'serial', 'thread' or 'process'"
-                )
-        #: Live shared-base handles (delta/sparse transports on a process
-        #: engine); retired once no channel references them any more.
+        #: Live shared-base handles (delta/sparse transports); retired once
+        #: no channel references them any more.
         self._base_handles: list[StateHandle] = []
         self._ctx = RoundContext(
             config=config,
@@ -398,37 +330,6 @@ class FederatedTrainer:
 
     def _real_sample_bytes(self, our_bytes: int) -> int:
         return self._ctx.real_sample_bytes(our_bytes)
-
-    # ------------------------------------------------------------------
-    # client adoption across process boundaries
-    # ------------------------------------------------------------------
-    def _adopt(self, client: FederatedClient) -> FederatedClient:
-        """Install a (possibly worker-mutated) client as the live replica.
-
-        In-process engines return the same objects, making this a no-op;
-        process engines return pickled-back copies whose mutations (model
-        weights, optimiser state, RNG position, method state) must replace
-        the parent's stale instances.
-        """
-        index = self._client_index[client.client_id]
-        if self.clients[index] is not client:
-            self.clients[index] = client
-        return client
-
-    def _strip_for_map(self, clients: list[FederatedClient]) -> dict | None:
-        """Detach task data before a process crossing (when rebuildable)."""
-        if not self.engine.needs_pickling or self._data_factory is None:
-            return None
-        return {client.client_id: client.detach_data() for client in clients}
-
-    def _restore_data(
-        self, clients: list[FederatedClient], detached: dict | None
-    ) -> None:
-        if detached is None:
-            return
-        for client in clients:
-            if client.data is None:
-                client.attach_data(detached[client.client_id])
 
     # ------------------------------------------------------------------
     # per-client deadlines (deadline:auto)
@@ -529,44 +430,28 @@ class FederatedTrainer:
         plan = self.policy.plan_round(position, round_index, active_ids)
         participants = [by_id[cid] for cid in plan.participants if cid in by_id]
 
-        strip = self.engine.needs_pickling and self._data_factory is not None
-        detached = self._strip_for_map(participants)
-        try:
-            mapped = self.engine.map(_TrainPhase(self._ctx, strip), participants)
-        finally:
-            self._restore_data(participants, detached)
+        mapped = self.engine.map(_TrainPhase(self._ctx), participants)
         fresh: list[ClientUpdate] = []
-        trained: list[tuple[FederatedClient, ClientUpdate]] = []
         lost: set[int] = set()
-        for slot, result in enumerate(mapped):
-            if result is None:
-                # a worker died mid-phase (``may_lose_items`` engines): the
-                # client's round work is gone; the policy replans the round
-                # with whoever did report
-                lost.add(participants[slot].client_id)
-                continue
-            update, client = result
-            if detached is not None and client.data is None:
-                client.attach_data(detached[client.client_id])
-            client = self._adopt(client)
-            participants[slot] = client
-            by_id[client.client_id] = client
-            fresh.append(update)
-            trained.append((client, update))
-        outcome = self.policy.collect(plan, fresh, active_ids)
-        outcome = self._finalize_outcome(plan, fresh, outcome)
-
         # synchronous barrier: the round waits for its slowest trainer, but a
         # reporting deadline caps that wait (stragglers finish off-round)
         train_seconds = 0.0
-        for client, update in trained:
+        for client, update in zip(participants, mapped):
+            if update is None:
+                # a worker died mid-phase: the client's round work is gone;
+                # the policy replans the round with whoever did report
+                lost.add(client.client_id)
+                continue
+            fresh.append(update)
             train_seconds = max(
                 train_seconds, self._train_seconds(client, update.compute_units)
             )
+        outcome = self.policy.collect(plan, fresh, active_ids)
+        outcome = self._finalize_outcome(plan, fresh, outcome)
+
         if plan.deadline_seconds is not None:
             train_seconds = min(train_seconds, plan.deadline_seconds)
 
-        merge_seconds = 0.0
         shard_reported: tuple[int, ...] = ()
         skipped = False
         if outcome.updates:
@@ -579,7 +464,6 @@ class FederatedTrainer:
                         staleness_discount=self.policy.staleness_discount,
                     )
                     shard_reported = self.aggregator.last_shard_counts
-                    merge_seconds = self.aggregator.last_merge_seconds
                 else:
                     global_state = self.server.aggregate_updates(
                         outcome.updates,
@@ -606,37 +490,30 @@ class FederatedTrainer:
                 "broadcast", receivers=len(receivers)
             ):
                 handle = self.engine.share_state(global_state)
-                detached = self._strip_for_map(receivers)
                 try:
                     received = self.engine.map(
-                        _ReceivePhase(self._ctx, handle, round_index, strip),
+                        _ReceivePhase(self._ctx, handle, round_index),
                         receivers,
                     )
                 finally:
-                    self._restore_data(receivers, detached)
                     handle.release()
             # one shared base snapshot per broadcast, instead of one copy
             # per receiving client; channel bookkeeping stays parent-side so
-            # negotiated warmup/base state survives process rounds.  On a
-            # process engine the snapshot is wrapped in a shared-memory
-            # handle so map chunks ship a file token instead of the dense
-            # base — workers decode it once per broadcast.
+            # negotiated warmup/base state survives out-of-process rounds.
+            # The engine wraps the snapshot in its broadcast handle: a
+            # pickled channel then ships a file token instead of the dense
+            # base, and socket workers decode it once per broadcast.
             shared_base = self.transport.broadcast_base(global_state)
-            if shared_base is not None and self.engine.needs_pickling:
+            if shared_base is not None:
                 shared_base = self.engine.share_state(shared_base)
                 self._base_handles.append(shared_base)
-            for slot, result in enumerate(received):
+            for client, result in zip(receivers, received):
                 if result is None:
                     # lost mid-download: the client never received the
                     # state, so its channel is not delivered to either
-                    lost.add(receivers[slot].client_id)
+                    lost.add(client.client_id)
                     continue
-                down, units, client = result
-                if detached is not None and client.data is None:
-                    client.attach_data(detached[client.client_id])
-                client = self._adopt(client)
-                receivers[slot] = client
-                by_id[client.client_id] = client
+                down, units = result
                 self._channel_for(client).deliver(global_state, base=shared_base)
                 down_total += down
                 downloads[client.client_id] = down
@@ -674,7 +551,6 @@ class FederatedTrainer:
             raw_upload_bytes=raw_up_total,
             evicted=len(outcome.evicted),
             shard_reported=shard_reported,
-            merge_seconds=merge_seconds,
             skipped=skipped,
             lost=len(lost),
         )
@@ -724,25 +600,23 @@ class FederatedTrainer:
         return active
 
     def _sync_engine_clients(self) -> None:
-        """Adopt authoritative client replicas held by the engine, if any.
+        """Adopt the authoritative client replicas the engine holds.
 
         Sticky-affinity engines (:class:`~repro.serve.engine.SocketRoundEngine`)
         keep the live client replicas on their workers between rounds, so
         the parent's copies go stale during a task.  Before anything reads
         client state outside a round (end-of-task evaluation, knowledge
-        extraction), the workers' replicas are collected and adopted; task
-        data stays parent-side when the replicas travel without it.
+        extraction), the workers' replicas are collected and replace the
+        parent's; task data stays parent-side when the replicas travel
+        without it.  In-process engines collect nothing.
         """
-        collect = getattr(self.engine, "collect_clients", None)
-        if collect is None:
-            return
-        for client in collect():
+        for client in self.engine.collect_clients():
             index = self._client_index.get(client.client_id)
             if index is None:
                 continue
             if client.data is None and self.clients[index].data is not None:
                 client.attach_data(self.clients[index].data)
-            self._adopt(client)
+            self.clients[index] = client
 
     def run_task(
         self, position: int, num_rounds: int | None = None

@@ -124,10 +124,11 @@ class Channel:
     def base(self) -> dict[str, np.ndarray] | None:
         """Last global state delivered over this link (the delta base).
 
-        Under a process round engine the base arrives as a shared-memory
+        The trainer delivers the base as its engine's
         :class:`~repro.federated.engine.StateHandle`; resolving here means
-        a pickled channel ships a file token instead of the dense state,
-        and each worker decodes the base once per broadcast.
+        a channel pickled to a socket worker ships a file token instead of
+        the dense state, and each worker decodes the base once per
+        broadcast.
         """
         base = self._base
         resolve = getattr(base, "resolve", None)

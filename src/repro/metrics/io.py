@@ -48,7 +48,6 @@ def result_to_dict(result: RunResult) -> dict:
                 "evicted": r.evicted,
                 "raw_upload_bytes": r.raw_upload_bytes,
                 "shard_reported": list(r.shard_reported),
-                "merge_seconds": r.merge_seconds,
                 "skipped": r.skipped,
                 "lost": r.lost,
             }
@@ -87,9 +86,9 @@ def result_from_dict(payload: dict) -> RunResult:
             # absent in payloads written before the transport redesign
             raw_upload_bytes=r.get("raw_upload_bytes", -1),
             # absent in payloads written before the sharded population
-            # subsystem
+            # subsystem (their ``merge_seconds`` timer is ignored: the
+            # ``aggregate`` telemetry span times the merge)
             shard_reported=tuple(r.get("shard_reported", ())),
-            merge_seconds=r.get("merge_seconds", 0.0),
             skipped=r.get("skipped", False),
             # absent in payloads written before the socket federation service
             lost=r.get("lost", 0),

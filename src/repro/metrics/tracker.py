@@ -41,8 +41,6 @@ class RoundRecord:
     raw_upload_bytes: int = -1
     #: Updates each aggregation shard consumed (empty = unsharded round).
     shard_reported: tuple[int, ...] = ()
-    #: Wall seconds spent merging shard partial sums (0 when unsharded).
-    merge_seconds: float = 0.0
     #: True when nobody reported and no straggler work was pending: the
     #: global model was left untouched and aggregation never ran.
     skipped: bool = False
@@ -211,11 +209,6 @@ class RunResult:
     def skipped_rounds(self) -> int:
         """Rounds that aggregated nothing (no reports, nothing pending)."""
         return sum(1 for r in self.rounds if r.skipped)
-
-    @property
-    def merge_seconds(self) -> float:
-        """Total wall seconds spent merging shard partials across the run."""
-        return float(sum(r.merge_seconds for r in self.rounds))
 
     def summary(self) -> dict:
         """Compact dictionary used by the experiment reports."""

@@ -15,25 +15,29 @@ the machinery:
 **Sticky worker↔client affinity.**  A client is assigned to a worker the
 first time it is mapped and stays there: the full client object crosses the
 socket once, later dispatches ship a :class:`~repro.serve.worker.ClientRef`
-stub, and results likewise return stubs for cached clients — momentum
-buffers, optimiser and RNG state, and (factory-rebuilt) task data stop
-crossing the process boundary between rounds.  The parent's replicas go
+stub, and phases return only their results — momentum buffers, optimiser
+and RNG state stay on the worker between rounds.  The parent's replicas go
 stale during a task; ``collect_clients`` ships the authoritative worker
 replicas back for end-of-task evaluation, and task boundaries RESET every
 cache and rebalance affinity over the workers then alive.
 
-**Failure containment.**  ``may_lose_items`` is the engine's contract
-extension: when a worker dies mid-phase (socket error or read timeout),
-its items come back as ``None`` instead of poisoning the round — the
-trainer drops the lost clients from the round (the participation policy
-already tolerates fewer reports than planned) and records them on the
-:class:`~repro.metrics.tracker.RoundRecord`.  The dead worker's clients are
-reassigned to surviving workers from the parent's last-synced replicas; a
-fresh broadcast re-synchronizes their weights on the next round.
+**Task data.**  With a data factory installed (:meth:`bind`), a client's
+first crossing and its COLLECT return both travel without ``client.data``:
+the worker rebuilds the task data from the factory once, when it adopts
+the replica.  Without a factory the data travels with the client.
 
-Results are bit-identical to the serial engine for the same reason the
-process engine's are: clients are independent within a round, the per-client
-float operations are unchanged, and outputs are reassembled in item order.
+**Failure containment.**  When a worker dies mid-phase (socket error or
+read timeout), its items come back as ``None`` instead of poisoning the
+round — the trainer drops the lost clients from the round (the
+participation policy already tolerates fewer reports than planned) and
+records them on the :class:`~repro.metrics.tracker.RoundRecord`.  The dead
+worker's clients are reassigned to surviving workers from the parent's
+last-synced replicas; a fresh broadcast re-synchronizes their weights on
+the next round.
+
+Results are bit-identical to the serial engine: clients are independent
+within a round, the per-client float operations are unchanged, and outputs
+are reassembled in item order.
 """
 
 from __future__ import annotations
@@ -51,8 +55,8 @@ import multiprocessing
 import numpy as np
 
 from ..federated.base import FederatedClient
-from ..federated.engine import RoundEngine, SharedStateHandle, StateHandle
-from ..federated.server import StreamingAccumulator
+from ..federated.engine import RoundEngine, StateHandle
+from ..federated.server import FedAvgServer, StreamingAccumulator
 from ..obs import metrics as _obs_metrics
 from ..obs import trace as _obs_trace
 from ..utils.serialization import encode_state
@@ -64,7 +68,12 @@ from .rpc import (
     RemoteError,
     RpcError,
 )
-from .worker import ClientRef, run_worker
+from .worker import (
+    ClientRef,
+    dumps_without_data,
+    resolve_broadcast,
+    run_worker,
+)
 
 T = TypeVar("T")
 R = TypeVar("R")
@@ -76,26 +85,44 @@ __all__ = ["ServeStateHandle", "SocketRoundEngine"]
 PHASE_TIMEOUT = 300.0
 
 
-class ServeStateHandle(SharedStateHandle):
+class ServeStateHandle(StateHandle):
     """Broadcast handle that resolves locally, via tmpfs, or via STATE frames.
 
-    Parent-side it is a plain :class:`SharedStateHandle` (dict passthrough
-    plus the tmpfs file for local workers).  Worker-side, remote workers
-    find the state in their framed-broadcast store by token; local workers
-    fall back to reading the shared-memory file exactly like process-pool
-    workers do.
+    The parent writes the wire-encoded state once to a tmpfs-backed file
+    (``/dev/shm`` on Linux) and resolves to its own dict.  A pickled handle
+    carries only the file path and a token: workers on this host decode the
+    file once per broadcast, and remote workers already hold the state,
+    delivered by a STATE frame — both through the worker's broadcast store
+    (:func:`~repro.serve.worker.resolve_broadcast`), so a worker's clients
+    share one decoded copy.  ``load_state_dict`` copies into existing
+    parameter buffers, so that sharing is safe.
     """
+
+    def __init__(self, state: Mapping[str, np.ndarray], payload: bytes):
+        shm_dir = "/dev/shm" if os.path.isdir("/dev/shm") else None
+        fd, path = tempfile.mkstemp(
+            prefix="repro-broadcast-", suffix=".state", dir=shm_dir
+        )
+        with os.fdopen(fd, "wb") as handle:
+            handle.write(payload)
+        self.path = path
+        self.token = uuid.uuid4().hex
+        self._local: Mapping[str, np.ndarray] | None = dict(state)
+
+    def __getstate__(self):
+        # workers resolve through the file or a frame; never ship the state
+        return {"path": self.path, "token": self.token, "_local": None}
 
     def resolve(self) -> Mapping[str, np.ndarray]:
         if self._local is not None:
             return self._local
-        from .worker import get_broadcast
+        return resolve_broadcast(self.token, self.path)
 
-        cached = get_broadcast(self.token)
-        if cached is not None:
-            _obs_metrics.METRICS.counter("broadcast.cache_hits").inc()
-            return cached
-        return super().resolve()
+    def release(self) -> None:
+        try:
+            os.unlink(self.path)
+        except FileNotFoundError:
+            pass
 
 
 class _WorkerLink:
@@ -126,13 +153,6 @@ class SocketRoundEngine(RoundEngine):
     """Round work dispatched to socket-connected worker processes."""
 
     name = "socket"
-    needs_pickling = True
-    #: Contract extension: a dead worker loses its items (``None`` results)
-    #: instead of failing the round; the trainer must tolerate and record.
-    may_lose_items = True
-    #: Trainer-visible marker: shard aggregation can request segment
-    #: partials from the workers that retained this round's updates.
-    remote_partials = True
 
     def __init__(
         self,
@@ -163,14 +183,6 @@ class SocketRoundEngine(RoundEngine):
     # ------------------------------------------------------------------
     # listening and admission
     # ------------------------------------------------------------------
-    def set_data_factory(self, data_factory) -> None:
-        """Install the worker-side client-data factory (pre-admission only)."""
-        if self._links:
-            raise RuntimeError(
-                "cannot install a data factory after workers have connected"
-            )
-        self.data_factory = data_factory
-
     def listen(self) -> tuple[str, int]:
         """Bind and listen (idempotent); returns the bound ``(host, port)``."""
         if self._listener is None:
@@ -312,6 +324,27 @@ class SocketRoundEngine(RoundEngine):
     # ------------------------------------------------------------------
     # the RoundEngine contract
     # ------------------------------------------------------------------
+    def rejects(self, method: str) -> str | None:
+        from ..federated.registry import PROCESS_UNSAFE_METHODS
+
+        if method in PROCESS_UNSAFE_METHODS:
+            return (
+                "its clients exchange state with the live server mid-round; "
+                "use the serial or thread engine"
+            )
+        return None
+
+    def bind(self, clients, data_factory=None) -> None:
+        super().bind(clients, data_factory)
+        if data_factory is None:
+            return
+        # workers receive the factory in their WELCOME
+        if self._links:
+            raise RuntimeError(
+                "cannot install a data factory after workers have connected"
+            )
+        self.data_factory = data_factory
+
     def _affinity_for(
         self, client_id: int, live: list[_WorkerLink]
     ) -> _WorkerLink:
@@ -345,31 +378,26 @@ class SocketRoundEngine(RoundEngine):
         for worker_id, entries in assignments.items():
             link = by_link[worker_id]
             wire = []
+            crossing: list[FederatedClient] = []
             for index, item in entries:
-                if (
-                    isinstance(item, FederatedClient)
-                    and item.client_id in link.cached
-                ):
-                    wire.append((index, ClientRef(item.client_id)))
-                else:
-                    wire.append((index, item))
+                if isinstance(item, FederatedClient):
+                    if item.client_id in link.cached:
+                        item = ClientRef(item.client_id)
+                    else:
+                        crossing.append(item)
+                wire.append((index, item))
+            # with a factory the workers rebuild task data themselves
+            shed = crossing if self.data_factory is not None else ()
             try:
                 link.conn.send(
                     MessageType.PHASE,
-                    pickle.dumps((fn, wire, span_ctx), protocol=5),
+                    dumps_without_data((fn, wire, span_ctx), shed),
                 )
             except RpcError:
                 self._mark_dead(link)
                 continue
-            for _, item in entries:
-                if isinstance(item, FederatedClient):
-                    link.cached.add(item.client_id)
+            link.cached.update(client.client_id for client in crossing)
             pending.append(link)
-        by_client = {
-            item.client_id: item
-            for item in items
-            if isinstance(item, FederatedClient)
-        }
         results: list[R | None] = [None] * len(items)
         phase_error: RemoteError | None = None
         for link in pending:
@@ -392,22 +420,10 @@ class SocketRoundEngine(RoundEngine):
             for client_id in retained_ids:
                 self._origin[client_id] = link
             for index, result in entries:
-                results[index] = self._substitute(result, by_client)
+                results[index] = result
         if phase_error is not None:
             raise phase_error
         return results
-
-    @staticmethod
-    def _substitute(result, by_client: dict[int, FederatedClient]):
-        """Swap returned stubs for the parent's replica of the same client."""
-        if isinstance(result, ClientRef):
-            return by_client[result.client_id]
-        if not isinstance(result, tuple):
-            return result
-        return tuple(
-            by_client[part.client_id] if isinstance(part, ClientRef) else part
-            for part in result
-        )
 
     def begin_task(self, position: int) -> None:
         if self._listener is None:
@@ -428,21 +444,28 @@ class SocketRoundEngine(RoundEngine):
         self._origin = {}
 
     def share_state(self, state: Mapping[str, np.ndarray]) -> StateHandle:
-        handle = ServeStateHandle(state)
+        payload = encode_state(dict(state))
+        handle = ServeStateHandle(state, payload)
         remote = [link for link in self._live() if not link.local]
         if remote:
-            payload = pickle.dumps(
-                (handle.token, encode_state(dict(state))), protocol=5
-            )
+            frame = pickle.dumps((handle.token, payload), protocol=5)
             for link in remote:
                 try:
-                    link.conn.send(MessageType.STATE, payload)
+                    link.conn.send(MessageType.STATE, frame)
                 except RpcError:
                     self._mark_dead(link)
         return handle
 
+    def sharded_aggregator(self, server: FedAvgServer, shards: int):
+        # the workers already hold the round's dense update states: segment
+        # partials are accumulated remotely and only float64 sums cross the
+        # wire (fixed merge tree — still bit-identical)
+        from .server import RemoteShardedAggregator
+
+        return RemoteShardedAggregator(server, shards, socket_engine=self)
+
     # ------------------------------------------------------------------
-    # trainer extensions: end-of-task sync and remote segment partials
+    # end-of-task sync and remote segment partials
     # ------------------------------------------------------------------
     def collect_clients(self) -> list[FederatedClient]:
         """Ship every worker's cached client replicas back (authoritative)."""

@@ -23,7 +23,6 @@ and local partials a round ends up with.
 
 from __future__ import annotations
 
-import time
 from typing import Sequence
 
 import numpy as np
@@ -138,10 +137,7 @@ class RemoteShardedAggregator(ShardedAggregator):
             sum(seg.stop - seg.start for seg in segments[group])
             for group in groups
         )
-        started = time.perf_counter()
-        merged = self.merge(partials)
-        self.last_merge_seconds = time.perf_counter() - started
-        return self.server.install_aggregate(merged)
+        return self.server.install_aggregate(self.merge(partials))
 
 
 class FederationServer:

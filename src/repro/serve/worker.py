@@ -9,18 +9,19 @@ the connection drops:
   worker keeps **persistent client replicas**: a client crosses the socket
   once, is cached by id, and every later round's dispatch ships a tiny
   :class:`ClientRef` stub instead — momentum buffers, RNG state and method
-  state stay put.  Task data is rebuilt locally from the WELCOME's pickled
-  data factory (the same :func:`repro.federated.engine.worker_client_data`
-  path process-pool workers use).
+  state stay put.  A replica that arrives without its task data gets it
+  rebuilt once, on adoption, from the WELCOME's pickled data factory.
 * **STATE** — a framed global-state broadcast for remote workers; local
-  workers read the tmpfs file instead and never receive this frame.
+  workers read the tmpfs file instead and never receive this frame.  Both
+  land in one broadcast store (:func:`resolve_broadcast`).
 * **PARTIAL** — accumulate segment partial sums over the client updates
   retained from the round's train phase, so shard aggregation ships one
   float64 partial per segment instead of every client state.
 * **RESET** — task boundary: drop client replicas, retained updates,
   broadcasts and the materialized task-data cache.
-* **COLLECT** — ship the cached client replicas back so the trainer can
-  run end-of-task evaluation on authoritative state.
+* **COLLECT** — ship the cached client replicas back (without
+  factory-rebuilt task data) so the trainer can run end-of-task evaluation
+  on authoritative state.
 
 Phase exceptions travel back as ERROR frames (the engine re-raises them
 parent-side); only protocol violations and a dead socket end the loop.
@@ -29,9 +30,12 @@ parent-side); only protocol violations and a dead socket end the loop.
 from __future__ import annotations
 
 import os
+import pickle
 import traceback
+from typing import Sequence
 
-from ..federated import engine as engine_mod
+import numpy as np
+
 from ..federated.base import FederatedClient
 from ..federated.protocol import ClientUpdate
 from ..federated.server import StreamingAccumulator
@@ -48,9 +52,13 @@ from .rpc import (
     connect_with_retry,
 )
 
-import numpy as np
-
-__all__ = ["ClientRef", "WorkerSession", "run_worker", "get_broadcast"]
+__all__ = [
+    "ClientRef",
+    "WorkerSession",
+    "dumps_without_data",
+    "resolve_broadcast",
+    "run_worker",
+]
 
 
 class ClientRef:
@@ -65,16 +73,35 @@ class ClientRef:
         return f"ClientRef({self.client_id})"
 
 
-#: Framed broadcasts decoded by this worker, newest last.  Two can be live
-#: at once (the round's receive broadcast plus the transport's shared dense
-#: base for the next train phase), so pruning keeps the two most recent.
+def dumps_without_data(obj, clients: Sequence[FederatedClient]) -> bytes:
+    """Pickle ``obj`` with ``clients`` crossing without their task data.
+
+    Task data is deterministic, so the receiving side rebuilds (or already
+    holds) it instead of paying to ship the arrays; ``clients`` keep their
+    data on this side.
+    """
+    detached = [client.detach_data() for client in clients]
+    try:
+        return pickle.dumps(obj, protocol=5)
+    finally:
+        for client, data in zip(clients, detached):
+            client.attach_data(data)
+
+
+# ----------------------------------------------------------------------
+# the broadcast store
+# ----------------------------------------------------------------------
+#: Decoded broadcasts by token, newest last, whether framed or read from
+#: tmpfs.  Two can be live at once (the round's receive broadcast plus the
+#: transport's shared dense base for the next train phase), so pruning
+#: keeps the two most recent.
 _BROADCASTS: dict[str, dict] = {}
 _BROADCAST_KEEP = 2
 
-
-def get_broadcast(token: str):
-    """Resolve a framed broadcast by token (None when not this worker's)."""
-    return _BROADCASTS.get(token)
+# Cached instrument handles (valid forever: ``drain`` zeroes in place).
+_BROADCAST_HITS = _obs_metrics.METRICS.counter("broadcast.cache_hits")
+_BROADCAST_DECODES = _obs_metrics.METRICS.counter("broadcast.decodes")
+_FRAMED_DECODES = _obs_metrics.METRICS.counter("broadcast.framed_decodes")
 
 
 def _store_broadcast(token: str, state: dict) -> None:
@@ -83,7 +110,21 @@ def _store_broadcast(token: str, state: dict) -> None:
         del _BROADCASTS[next(iter(_BROADCASTS))]
 
 
-_FRAMED_DECODES = _obs_metrics.METRICS.counter("broadcast.framed_decodes")
+def resolve_broadcast(token: str, path: str) -> dict:
+    """One broadcast's decoded state on this worker, shared by its clients.
+
+    Framed broadcasts are already in the store; a local worker decodes the
+    tmpfs file ``path`` on first use.
+    """
+    state = _BROADCASTS.get(token)
+    if state is not None:
+        _BROADCAST_HITS.inc()
+        return state
+    with open(path, "rb") as handle:
+        state = decode_state(handle.read())
+    _store_broadcast(token, state)
+    _BROADCAST_DECODES.inc()
+    return state
 
 
 def _dense_state(state) -> bool:
@@ -93,9 +134,14 @@ def _dense_state(state) -> bool:
 class WorkerSession:
     """One connected worker's frame loop and caches."""
 
-    def __init__(self, conn: Connection, worker_id: int):
+    def __init__(self, conn: Connection, worker_id: int, data_factory=None):
         self.conn = conn
         self.worker_id = worker_id
+        #: Picklable :class:`~repro.data.scenario.ClientDataFactory` that
+        #: rebuilds task data for replicas shipped without it (or None).
+        self.data_factory = data_factory
+        #: client_id -> ClientData, built lazily from the factory per task.
+        self._task_data: dict | None = None
         #: Persistent client replicas, by client id (the affinity cache).
         self.clients: dict[int, FederatedClient] = {}
         #: Dense update states retained from the latest PHASE, by client id.
@@ -120,88 +166,84 @@ class WorkerSession:
         tracer.adopt(ctx)
         return tracer
 
+    def _client_data(self, client_id: int):
+        """Rebuild (and cache) one client's task data from the factory.
+
+        The factory builds the whole lazy benchmark once per task —
+        O(clients) thanks to lazy task streams — and each task's arrays
+        materialize only when a client of this worker reaches it.
+        Determinism of the scenario API guarantees the rebuilt arrays equal
+        the parent's.
+        """
+        if self.data_factory is None:
+            raise RuntimeError(
+                "a client arrived without task data, and this worker has no "
+                "client-data factory to rebuild it from"
+            )
+        if self._task_data is None:
+            benchmark = self.data_factory()
+            self._task_data = {
+                data.client_id: data for data in benchmark.clients
+            }
+        return self._task_data[client_id]
+
+    def _replica(self, item):
+        """The item a PHASE entry stands for, adopting shipped clients."""
+        if isinstance(item, ClientRef):
+            cached = self.clients.get(item.client_id)
+            if cached is None:
+                raise ProtocolError(
+                    f"server referenced client {item.client_id}, which "
+                    f"this worker has not cached"
+                )
+            return cached
+        if isinstance(item, FederatedClient):
+            # first crossing (or re-assignment after a worker failure):
+            # adopt the shipped replica as this worker's authoritative copy
+            if item.data is None:
+                item.attach_data(self._client_data(item.client_id))
+            self.clients[item.client_id] = item
+        return item
+
     # -- frame handlers ------------------------------------------------
     def _handle_phase(self, payload: bytes) -> None:
-        import pickle
-
         fn, entries, span_ctx = pickle.loads(payload)
         self.retained = {}
-        resolved = []
-        for index, item in entries:
-            if isinstance(item, ClientRef):
-                cached = self.clients.get(item.client_id)
-                if cached is None:
-                    raise ProtocolError(
-                        f"server referenced client {item.client_id}, which "
-                        f"this worker has not cached"
-                    )
-                item = cached
-            elif isinstance(item, FederatedClient):
-                # first crossing (or re-assignment after a worker failure):
-                # adopt the shipped replica as this worker's authoritative copy
-                self.clients[item.client_id] = item
-            resolved.append((index, item))
+        resolved = [(index, self._replica(item)) for index, item in entries]
+        tracer = None
+        if span_ctx is not None:
+            # traced phase: run under a session tracer adopted into the
+            # server's round span, then ship spans + a metrics delta back
+            tracer = self._tracer_for(span_ctx)
+            if _obs_trace.TRACER is not tracer:
+                _obs_trace.set_tracer(tracer)
+                self._tracing = True
+        elif self._tracing:
+            # the server turned telemetry off: return to the no-op path
+            # and discard spans that will never be collected
+            _obs_trace.set_tracer(_obs_trace.NullTracer())
+            self._tracer.drain()
+            self._tracing = False
         results = []
-        retained_ids = []
-        if span_ctx is None:
-            if self._tracing:
-                # the server turned telemetry off: return to the no-op
-                # path and discard spans that will never be collected
-                _obs_trace.set_tracer(_obs_trace.NullTracer())
-                self._tracer.drain()
-                self._tracing = False
-            for index, item in resolved:
-                result = fn(item)
-                results.append(
-                    (index, self._stub_result(result, retained_ids))
-                )
-            self.conn.send_obj(
-                MessageType.RESULT, (results, tuple(retained_ids), None)
-            )
-            return
-        # traced phase: run under a session tracer adopted into the
-        # server's round span, then ship spans + a metrics delta back
-        tracer = self._tracer_for(span_ctx)
-        if _obs_trace.TRACER is not tracer:
-            _obs_trace.set_tracer(tracer)
-            self._tracing = True
         for index, item in resolved:
             result = fn(item)
-            results.append(
-                (index, self._stub_result(result, retained_ids))
-            )
-        telemetry = (tracer.drain(), _obs_metrics.METRICS.drain())
+            if isinstance(result, ClientUpdate) and _dense_state(result.state):
+                # kept for remote segment partials (PARTIAL frames)
+                self.retained[result.client_id] = result.state
+            results.append((index, result))
+        telemetry = None if tracer is None else (
+            tracer.drain(), _obs_metrics.METRICS.drain()
+        )
         self.conn.send_obj(
-            MessageType.RESULT, (results, tuple(retained_ids), telemetry)
+            MessageType.RESULT, (results, tuple(self.retained), telemetry)
         )
 
-    def _stub_result(self, result, retained_ids: list[int]):
-        """Replace cached clients with stubs; retain dense update states."""
-        if isinstance(result, FederatedClient):
-            return ClientRef(result.client_id)
-        if not isinstance(result, tuple):
-            return result
-        out = []
-        for part in result:
-            if isinstance(part, FederatedClient):
-                out.append(ClientRef(part.client_id))
-                continue
-            if isinstance(part, ClientUpdate) and _dense_state(part.state):
-                self.retained[part.client_id] = part.state
-                retained_ids.append(part.client_id)
-            out.append(part)
-        return tuple(out)
-
     def _handle_state(self, payload: bytes) -> None:
-        import pickle
-
         token, wire_bytes = pickle.loads(payload)
         _store_broadcast(token, decode_state(wire_bytes))
         _FRAMED_DECODES.inc()
 
     def _handle_partial(self, payload: bytes) -> None:
-        import pickle
-
         requests = pickle.loads(payload)
         partials = []
         for seg_index, terms in requests:
@@ -221,14 +263,14 @@ class WorkerSession:
         self.clients = {}
         self.retained = {}
         _BROADCASTS.clear()
-        engine_mod._STATE_CACHE.clear()
         # drop materialized task arrays; the factory rebuilds lazily
-        engine_mod._DATA_CACHE = None
+        self._task_data = None
 
     def _handle_collect(self) -> None:
-        self.conn.send_obj(
-            MessageType.RESULT, list(self.clients.values())
-        )
+        clients = list(self.clients.values())
+        # factory-rebuilt task data stays here: the parent holds its own
+        shed = clients if self.data_factory is not None else ()
+        self.conn.send(MessageType.RESULT, dumps_without_data(clients, shed))
 
     # -- loop ----------------------------------------------------------
     def run(self) -> None:
@@ -303,8 +345,9 @@ def run_worker(
             except OSError:
                 local = False
         conn.send_obj(MessageType.READY, {"local": local})
-        engine_mod._init_worker(welcome["data_factory"])
-        WorkerSession(conn, welcome["worker_id"]).run()
+        WorkerSession(
+            conn, welcome["worker_id"], welcome["data_factory"]
+        ).run()
         return welcome["worker_id"]
     finally:
         conn.close()

@@ -113,7 +113,7 @@ class TestRun:
     def test_run_with_shards_and_process_engine(self, capsys):
         code = main([
             "run", "--method", "fedavg", "--dataset", "cifar100",
-            "--preset", "unit", "--engine", "process:2", "--shards", "2",
+            "--preset", "unit", "--engine", "socket:2", "--shards", "2",
         ])
         assert code == 0
         assert "accuracy" in capsys.readouterr().out
@@ -121,7 +121,7 @@ class TestRun:
     def test_process_engine_rejects_server_coupled_method(self, capsys):
         code = main([
             "run", "--method", "flcn", "--dataset", "cifar100",
-            "--preset", "unit", "--engine", "process:2",
+            "--preset", "unit", "--engine", "socket:2",
         ])
         assert code == 2
         assert "serial or thread" in capsys.readouterr().err
@@ -266,7 +266,7 @@ class TestServeCommands:
         out = capsys.readouterr().out
         assert "engines" in out
         assert "socket[:W]" in out
-        assert "process[:W]" in out
+        assert "process[:W]" not in out
 
     def test_invalid_engine_rejected_with_clear_message(self, capsys):
         code = main([

@@ -15,13 +15,19 @@ from __future__ import annotations
 import multiprocessing
 import os
 import socket as socket_mod
+import time
 
 import numpy as np
 import pytest
 
 from repro.data import build_benchmark, cifar100_like
 from repro.edge import jetson_cluster
-from repro.federated import TrainConfig, create_engine, create_trainer
+from repro.federated import (
+    FedAvgServer,
+    TrainConfig,
+    create_engine,
+    create_trainer,
+)
 from repro.federated.base import SGDClient
 from repro.serve import (
     MAGIC,
@@ -32,6 +38,7 @@ from repro.serve import (
     MessageType,
     ProtocolError,
     RemoteError,
+    RemoteShardedAggregator,
     RpcError,
     SocketRoundEngine,
     connect_with_retry,
@@ -161,15 +168,26 @@ def _explode(value: int) -> int:
     raise ValueError(f"phase bug on item {value}")
 
 
+def _stall(value: int) -> int:
+    """Stalls the worker on item 0, well past a short phase timeout."""
+    time.sleep(2.0 if value == 0 else 0.0)
+    return value
+
+
 class TestSocketEngineApi:
     def test_create_engine_spec(self):
         engine = create_engine("socket:2")
         try:
             assert isinstance(engine, SocketRoundEngine)
             assert engine.max_workers == 2
-            assert engine.needs_pickling
-            assert engine.may_lose_items
-            assert engine.remote_partials
+            # the declared contract: server-coupled methods stay in
+            # process, and shard partials are folded on the workers
+            assert engine.rejects("flcn") is not None
+            assert engine.rejects("fedknow") is None
+            assert isinstance(
+                engine.sharded_aggregator(FedAvgServer(), 2),
+                RemoteShardedAggregator,
+            )
         finally:
             engine.close()
 
@@ -208,6 +226,26 @@ class TestSocketEngineApi:
         engine.map(_square, [1])
         engine.close()
         engine.close()
+
+    def test_stalled_worker_is_lost_not_awaited(self):
+        """A worker stalled past the read timeout is declared lost: its
+        items come back as ``None`` without waiting out the stall, and
+        ``close()`` still reaps it (the leak guard checks no child and no
+        listener outlives the test)."""
+        from repro.obs import METRICS
+
+        engine = SocketRoundEngine(max_workers=1, phase_timeout=0.5)
+        try:
+            assert engine.map(_square, [3]) == [9]  # spawn + handshake
+            before = METRICS.value("serve.workers_lost")
+            started = time.monotonic()
+            results = engine.map(_stall, range(3))
+            elapsed = time.monotonic() - started
+            assert results == [None] * 3
+            assert elapsed < 1.8, f"map waited {elapsed:.2f}s on a stall"
+            assert METRICS.value("serve.workers_lost") == before + 1
+        finally:
+            engine.close()
 
 
 # ----------------------------------------------------------------------
@@ -284,7 +322,7 @@ class TestSocketBitIdentity:
         )
         assert_identical(reference, socketed)
 
-    def test_sharded_aggregation_pulls_remote_partials(self, spec, config):
+    def test_sharded_aggregation_folds_partials_on_workers(self, spec, config):
         ref_result, ref_state, _ = run_with_engine(
             spec, config, "fedavg", "serial"
         )

@@ -6,7 +6,7 @@ Covers the three contracts the subsystem rests on:
   count produces the same bytes as the unsharded server (the fixed merge
   tree), including large rounds, sparse/bytes uploads and staleness
   discounts;
-* **execution bit-identity** — serial == thread == process == sharded
+* **execution bit-identity** — serial == thread == socket == sharded
   training runs, across participation policies and scenario families;
 * **pickle safety** — clients, task streams and the client-data factory
   survive the process boundary unchanged.
@@ -27,7 +27,6 @@ from repro.federated import (
     ClientUpdate,
     DeadlineParticipation,
     FedAvgServer,
-    ProcessRoundEngine,
     ShardedAggregator,
     ThreadedRoundEngine,
     TrainConfig,
@@ -108,7 +107,6 @@ class TestShardedAggregator:
             out = sharded.aggregate_updates(updates)
             assert states_equal(reference, out), f"shards={k} diverged"
             assert sum(sharded.last_shard_counts) == n
-            assert sharded.last_merge_seconds >= 0.0
 
     def test_integer_buffers_come_from_first_client(self):
         rng = np.random.default_rng(1)
@@ -172,14 +170,6 @@ class TestShardedAggregator:
         finally:
             engine.close()
         assert states_equal(reference, out)
-
-    def test_process_engine_rejected_for_shards(self):
-        engine = ProcessRoundEngine(max_workers=2)
-        try:
-            with pytest.raises(ValueError, match="process engine"):
-                ShardedAggregator(FedAvgServer(), 2, engine=engine)
-        finally:
-            engine.close()
 
     def test_shard_counts_partition_the_round(self):
         rng = np.random.default_rng(6)
@@ -293,12 +283,13 @@ def assert_runs_identical(reference, other):
 
 
 class TestExecutionMatrix:
+    # "process" in a test name means out of process: the socket engine
     @pytest.mark.parametrize("engine,shards", [
         ("thread", 1),
-        ("process:2", 1),
+        ("socket:2", 1),
         ("serial", 3),
         ("thread:2", 3),  # shard accumulation rides the thread pool
-        ("process:2", 3),
+        ("socket:2", 3),  # segment partials folded on the workers
     ])
     def test_fedavg_class_inc_full(self, spec, config, engine, shards):
         reference = run_matrix_config(spec, config)
@@ -310,7 +301,7 @@ class TestExecutionMatrix:
     def test_fedknow_process_matches_serial(self, spec, config):
         reference = run_matrix_config(spec, config, method="fedknow")
         other = run_matrix_config(
-            spec, config, method="fedknow", engine="process:2"
+            spec, config, method="fedknow", engine="socket:2"
         )
         assert_runs_identical(reference, other)
 
@@ -324,7 +315,7 @@ class TestExecutionMatrix:
         )
         other = run_matrix_config(
             spec, config, participation="sampled:0.5", scenario=scenario,
-            engine="process:2", shards=2,
+            engine="socket:2", shards=2,
         )
         assert_runs_identical(reference, other)
 
@@ -337,14 +328,14 @@ class TestExecutionMatrix:
         assert reference[0].total_stale_clients > 0
         other = run_matrix_config(
             spec, config, participation="deadline:6.1", num_clients=6,
-            engine="process:2",
+            engine="socket:2",
         )
         assert_runs_identical(reference, other)
 
     def test_process_without_data_factory_ships_data(self, spec, config):
         reference = run_matrix_config(spec, config)
         other = run_matrix_config(
-            spec, config, engine="process:2", data_factory=False
+            spec, config, engine="socket:2", data_factory=False
         )
         assert_runs_identical(reference, other)
 
@@ -352,8 +343,8 @@ class TestExecutionMatrix:
         bench = create_scenario("class-inc").build(
             spec, num_clients=2, rng=np.random.default_rng(0)
         )
-        with pytest.raises(ValueError, match="process engine"):
-            create_trainer("flcn", bench, config, engine="process:2")
+        with pytest.raises(ValueError, match="socket engine cannot run"):
+            create_trainer("flcn", bench, config, engine="socket:2")
 
     def test_adopted_clients_keep_their_data(self, spec, config):
         scenario_obj = create_scenario("class-inc")
@@ -361,7 +352,7 @@ class TestExecutionMatrix:
             spec, num_clients=3, rng=np.random.default_rng(0)
         )
         with create_trainer(
-            "fedavg", bench, config, engine="process:2",
+            "fedavg", bench, config, engine="socket:2",
             data_factory=ClientDataFactory(scenario_obj, spec, 3, 0),
         ) as trainer:
             trainer.run()
@@ -535,14 +526,14 @@ class TestShardRecordIO:
         record = RoundRecord(
             position=0, round_index=0, upload_bytes=10, download_bytes=10,
             sim_train_seconds=1.0, sim_comm_seconds=1.0, active_clients=4,
-            mean_loss=0.1, shard_reported=(2, 2), merge_seconds=0.25,
-            skipped=False,
+            mean_loss=0.1, shard_reported=(2, 2), skipped=False,
         )
-        loaded = result_from_dict(result_to_dict(self._result(record)))
-        assert loaded.rounds[0].shard_reported == (2, 2)
-        assert loaded.rounds[0].merge_seconds == 0.25
-        assert not loaded.rounds[0].skipped
-        assert loaded.merge_seconds == 0.25
+        payload = result_to_dict(self._result(record))
+        assert "merge_seconds" not in payload["rounds"][0]
+        # older payloads still carry the retired merge timer: ignored
+        payload["rounds"][0]["merge_seconds"] = 0.25
+        loaded = result_from_dict(payload)
+        assert loaded.rounds[0] == record
 
     def test_legacy_payloads_default_unsharded(self):
         record = RoundRecord(
@@ -553,10 +544,8 @@ class TestShardRecordIO:
         payload = result_to_dict(self._result(record))
         for entry in payload["rounds"]:
             del entry["shard_reported"]
-            del entry["merge_seconds"]
             del entry["skipped"]
         loaded = result_from_dict(payload)
         assert loaded.rounds[0].shard_reported == ()
-        assert loaded.rounds[0].merge_seconds == 0.0
         assert not loaded.rounds[0].skipped
         assert loaded.skipped_rounds == 0
