@@ -23,6 +23,7 @@ import json
 import sys
 import time
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 
@@ -36,6 +37,7 @@ from repro.federated import (
 )
 from repro.federated.batched import capture_client_tape, train_chunk
 from repro.federated.simulation import PopulationSimulator
+from repro.nn.graph import GraphTape
 from repro.obs import Telemetry
 from repro.serve import SocketRoundEngine
 from repro.utils.serialization import (
@@ -58,10 +60,15 @@ THRESHOLD = 1.5
 ABSOLUTE_BOUNDS = {
     # tracing + per-op timing enabled vs disabled, on the batched round
     "telemetry_overhead_64c": 1.3,
-    # instrumented-but-disabled vs the plain round: telemetry must be
-    # no-op-cheap when off
+    # instrumented-but-disabled vs the same round with the replay's
+    # telemetry guard removed: telemetry must be no-op-cheap when off
     "telemetry_disabled_64c": 1.05,
 }
+
+
+def _bare_traced(self, kind, body, **attrs):
+    """``GraphTape._traced`` without its counter bump and tracer check."""
+    return body()
 
 
 def best_seconds(fn, repeats: int = 7, min_seconds: float = 0.1) -> float:
@@ -82,6 +89,18 @@ def best_seconds(fn, repeats: int = 7, min_seconds: float = 0.1) -> float:
         for _ in range(calls):
             fn()
         best = min(best, (time.perf_counter() - start) / calls)
+    return best
+
+
+def best_seconds_interleaved(fns, repeats: int = 7) -> list[float]:
+    """Best single-call time of each of ``fns``, called in alternation, so
+    drift in host speed during the measurement weighs on each alike."""
+    best = [float("inf")] * len(fns)
+    for _ in range(repeats):
+        for i, fn in enumerate(fns):
+            start = time.perf_counter()
+            fn()
+            best[i] = min(best[i], time.perf_counter() - start)
     return best
 
 
@@ -148,6 +167,10 @@ def _local_round_cases() -> dict[str, float]:
     def batched_round():
         train_chunk(batched.clients, 8, tape, order)
 
+    def bare_round():
+        with mock.patch.object(GraphTape, "_traced", _bare_traced):
+            batched_round()
+
     try:
         cases = {
             "serial_round_64c": best_seconds(
@@ -161,12 +184,13 @@ def _local_round_cases() -> dict[str, float]:
         }
         # telemetry cost contract, measured on the same warm round: an
         # enabled session (spans + per-op timing) vs the disabled path,
-        # and the disabled path vs the plain measurement above
+        # and the disabled path vs a truly uninstrumented one, with every
+        # replay's counter-and-tracer guard patched down to a bare body()
         with Telemetry():
             enabled = best_seconds(batched_round, repeats=3)
-        disabled = best_seconds(batched_round, repeats=7)
+        disabled, bare = best_seconds_interleaved([batched_round, bare_round])
         cases["telemetry_overhead_64c"] = enabled / disabled
-        cases["telemetry_disabled_64c"] = disabled / cases["batched_round_64c"]
+        cases["telemetry_disabled_64c"] = disabled / bare
         return cases
     finally:
         serial.close()

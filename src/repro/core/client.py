@@ -9,6 +9,12 @@ epoch, integrating each step's gradient with the gradient of the
 pre-aggregation model so the global information is absorbed without negative
 transfer.  When a task finishes, the knowledge extractor prunes and stores
 the task's signature knowledge.
+
+Every gradient step — the local step, the restorer's passes, the
+receive-phase probe and fine-tune, and the extraction fine-tune — replays a
+graph tape captured on the model it trains (:mod:`repro.nn.graph`); gradient
+integration and the extraction mask rewrite the replayed gradients before
+the ordinary optimiser step.
 """
 
 from __future__ import annotations
@@ -22,15 +28,13 @@ from ..data.loader import iterate_batches, sample_batch
 from ..federated.base import FederatedClient
 from ..federated.config import TrainConfig
 from ..models.base import ImageClassifier
-from ..nn import functional as F
 from ..nn.optim import SGD
 from ..nn.schedules import InverseTimeDecay
-from ..nn.tensor import Tensor
 from ..nn.vector import gradients_to_vector, vector_to_gradients
 from .config import FedKnowConfig
 from .distance import select_signature_tasks
 from .integrator import GradientIntegrator
-from .knowledge import KnowledgeExtractor, KnowledgeStore
+from .knowledge import KnowledgeExtractor, KnowledgeStore, task_loss_backward
 from .restorer import GradientRestorer
 
 
@@ -111,9 +115,7 @@ class FedKnowClient(FederatedClient):
             xb, yb = sample_batch(
                 self.task.train_x, self.task.train_y, self.config.batch_size, self.rng
             )
-            self.model.zero_grad()
-            loss = F.cross_entropy(self.model(Tensor(xb)), yb, class_mask=mask)
-            loss.backward()
+            loss = task_loss_backward(self.model, xb, yb, mask)
             self.add_compute(1.0)
             current = gradients_to_vector(self.model.parameters())
             if len(self.store) > 0:
@@ -136,7 +138,7 @@ class FedKnowClient(FederatedClient):
             self.global_iteration += 1
             self.optimizer.set_lr(self._schedule(self.global_iteration))
             self.optimizer.step()
-            losses.append(loss.item())
+            losses.append(loss)
         return {"mean_loss": float(np.mean(losses)), "iterations": iterations}
 
     # ------------------------------------------------------------------
@@ -144,10 +146,7 @@ class FedKnowClient(FederatedClient):
     # ------------------------------------------------------------------
     def _task_gradient(self, xb: np.ndarray, yb: np.ndarray) -> np.ndarray:
         """Current-task gradient at the model's present weights."""
-        mask = self.task.class_mask()
-        self.model.zero_grad()
-        loss = F.cross_entropy(self.model(Tensor(xb)), yb, class_mask=mask)
-        loss.backward()
+        task_loss_backward(self.model, xb, yb, self.task.class_mask())
         grad = gradients_to_vector(self.model.parameters())
         self.model.zero_grad()
         return grad
@@ -174,9 +173,7 @@ class FedKnowClient(FederatedClient):
         for index, (xb, yb) in enumerate(batches):
             if limit is not None and index >= limit:
                 break
-            self.model.zero_grad()
-            loss = F.cross_entropy(self.model(Tensor(xb)), yb, class_mask=mask)
-            loss.backward()
+            task_loss_backward(self.model, xb, yb, mask)
             self.add_compute(1.0)
             grad_after = gradients_to_vector(self.model.parameters())
             result = self.integrator.integrate(grad_after, grad_before[None, :])

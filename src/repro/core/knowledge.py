@@ -22,14 +22,33 @@ from ..curv.selector import SignatureSelector, create_selector
 from ..data.federated import ClientTask
 from ..models.base import ImageClassifier
 from ..nn import functional as F
+from ..nn.graph import replay_backward
 from ..nn.optim import SGD
-from ..nn.tensor import Tensor
 from ..utils.serialization import (
     SparseTensor,
     WireValue,
     encoded_num_bytes,
     topk_magnitude_indices,
 )
+
+
+def _task_loss(model, x, y, mask):
+    return F.cross_entropy(model(x), y, class_mask=mask)
+
+
+def task_loss_backward(
+    model: ImageClassifier, x: np.ndarray, y: np.ndarray, mask: np.ndarray
+) -> float:
+    """One gradient step's forward and backward of the task's masked
+    cross-entropy, replayed from a tape captured on ``model`` (see
+    :func:`~repro.nn.graph.replay_backward`).
+
+    Leaves the gradients in ``param.grad`` exactly as ``model.zero_grad()``
+    plus a dynamic ``backward()`` would, and returns the loss.
+    """
+    inputs = {"x": np.asarray(x, dtype=np.float32), "y": np.asarray(y),
+              "mask": mask}
+    return float(replay_backward(model, _task_loss, inputs))
 
 
 @dataclass
@@ -201,9 +220,7 @@ class KnowledgeExtractor:
         mask = task.class_mask()
         for _ in range(self.finetune_iterations):
             xb, yb = sample_batch(task.train_x, task.train_y, self.finetune_batch, rng)
-            optimizer.zero_grad()
-            loss = F.cross_entropy(scratch(Tensor(xb)), yb, class_mask=mask)
-            loss.backward()
+            task_loss_backward(scratch, xb, yb, mask)
             # freeze non-retained weights: zero their gradients
             for name, param in scratch.named_parameters():
                 if param.grad is None:

@@ -8,6 +8,11 @@ of the current model towards those soft labels,
     g_i = grad loss( f(W, X_{m+1}), f(W_i, X_{m+1}) ),
 
 is the update direction that keeps the model consistent with task ``t_i``.
+
+Both passes — the pruned network's soft-label forward and the live model's
+soft-label gradient — replay tapes captured on those models on first use
+(:mod:`repro.nn.graph`), so restoring one gradient per signature task at
+every local iteration pays no per-op dispatch.
 """
 
 from __future__ import annotations
@@ -16,9 +21,17 @@ import numpy as np
 
 from ..models.base import ImageClassifier
 from ..nn import functional as F
-from ..nn.tensor import Tensor, no_grad
+from ..nn.graph import replay_backward, replay_forward
 from ..nn.vector import gradients_to_vector
 from .knowledge import TaskKnowledge
+
+
+def _logits(model, x):
+    return model(x)
+
+
+def _soft_label_loss(model, x, targets, mask):
+    return F.soft_cross_entropy(model(x), targets, class_mask=mask)
 
 
 class GradientRestorer:
@@ -32,8 +45,8 @@ class GradientRestorer:
         """Class-probability targets predicted by the task's pruned network."""
         self._scratch.load_state_dict(knowledge.restore_state())
         self._scratch.eval()
-        with no_grad():
-            logits = self._scratch(Tensor(inputs)).data
+        x = np.asarray(inputs, dtype=np.float32)
+        logits = replay_forward(self._scratch, _logits, {"x": x})
         mask = knowledge.class_mask()
         masked = np.where(mask[None, :], logits, np.float32(-1e9))
         shifted = masked - masked.max(axis=1, keepdims=True)
@@ -55,11 +68,11 @@ class GradientRestorer:
         targets = self.soft_labels(knowledge, inputs)
         was_training = model.training
         model.eval()
-        model.zero_grad()
-        loss = F.soft_cross_entropy(
-            model(Tensor(inputs)), targets, class_mask=knowledge.class_mask()
-        )
-        loss.backward()
+        replay_backward(model, _soft_label_loss, {
+            "x": np.asarray(inputs, dtype=np.float32),
+            "targets": targets,
+            "mask": knowledge.class_mask(),
+        })
         gradient = gradients_to_vector(model.parameters())
         model.zero_grad()
         if was_training:

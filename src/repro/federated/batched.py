@@ -5,7 +5,7 @@ every participating client.  Instead of executing B independent dynamic
 autograd loops, this module captures the training graph **once** per
 (architecture, task shape) on a throwaway model copy, then replays it with
 every client's weights and minibatch stacked along a leading axis — one
-batched forward/backward per step (einsum contractions inside
+batched forward/backward per step (broadcast GEMMs inside
 :mod:`repro.nn.functional`) followed by one flat SGD update on a ``(B, D)``
 weight buffer.
 

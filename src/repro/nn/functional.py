@@ -9,8 +9,9 @@ and task-masked variants).
 Every operator is a registered :class:`~repro.nn.graph.OpDef`, so a model built
 from these functions can be captured on a :class:`~repro.nn.graph.GraphTape`
 and replayed without per-op Python dispatch.  The conv / pool / cross-entropy
-set additionally provides batched implementations (leading client axis,
-einsum contractions) that are bit-identical per slice to the unbatched ops.
+set additionally provides batched implementations (leading client axis) that
+are bit-identical per slice to the unbatched ops; the unbatched conv is the
+batched kernel run on a client axis of one, so both issue the same GEMMs.
 Two operators opt out of capture semantics: ``dropout`` raises under an active
 tape (its mask would be baked stale into the program), and ``batch_norm`` is
 capturable for serial replay (the running buffers are shared state, mutated in
@@ -53,7 +54,16 @@ def im2col(
             f"input of spatial size {h}x{w} with padding {ph}x{pw}"
         )
     if ph or pw:
-        x = np.pad(x, ((0, 0), (0, 0), (ph, ph), (pw, pw)))
+        # pad into a buffer with only its border zeroed: cheaper than
+        # np.pad, and unlike a calloc'd np.zeros buffer it keeps peak RSS
+        # where np.pad had it
+        padded = np.empty((n, c, h + 2 * ph, w + 2 * pw), dtype=x.dtype)
+        padded[:, :, :ph] = 0
+        padded[:, :, ph + h :] = 0
+        padded[:, :, ph : ph + h, :pw] = 0
+        padded[:, :, ph : ph + h, pw + w :] = 0
+        padded[:, :, ph : ph + h, pw : pw + w] = x
+        x = padded
     cols = np.empty((n, c, kh, kw, oh, ow), dtype=x.dtype)
     for i in range(kh):
         i_end = i + sh * oh
@@ -92,52 +102,6 @@ def col2im(
 # ---------------------------------------------------------------------------
 
 
-def _conv2d_fwd(ctx, *arrays, sh, sw, ph, pw, groups):
-    x, weight = arrays[0], arrays[1]
-    bias = arrays[2] if len(arrays) > 2 else None
-    n, c = x.shape[0], x.shape[1]
-    c_out, c_in_g, kh, kw = weight.shape
-    cols, oh, ow = im2col(x, kh, kw, sh, sw, ph, pw)
-    l = oh * ow
-    cog = c_out // groups
-    # (N, G, Cg*kh*kw, L) x (G, CoG, Cg*kh*kw) -> (N, G, CoG, L)
-    cols_g = cols.reshape(n, groups, c_in_g * kh * kw, l)
-    w_g = weight.reshape(groups, cog, c_in_g * kh * kw)
-    out = np.einsum("ngkl,gok->ngol", cols_g, w_g, optimize=True)
-    out = out.reshape(n, c_out, oh, ow)
-    if bias is not None:
-        out = out + bias.reshape(1, c_out, 1, 1)
-    if profiler.is_profiling():
-        profiler.record_op(2.0 * n * c_out * l * c_in_g * kh * kw, float(out.size))
-    ctx["cols_g"] = cols_g
-    ctx["w_g"] = w_g
-    ctx["dims"] = (n, c, groups, cog, l, kh, kw)
-    ctx["conv"] = (sh, sw, ph, pw)
-    ctx["x_shape"] = x.shape
-    ctx["w_shape"] = weight.shape
-    return out
-
-
-def _conv2d_vjp(ctx, g):
-    needs = ctx["needs"]
-    n, c, groups, cog, l, kh, kw = ctx["dims"]
-    sh, sw, ph, pw = ctx["conv"]
-    g_g = g.reshape(n, groups, cog, l)
-    gx = gw = gb = None
-    if len(needs) > 2 and needs[2]:
-        gb = g.sum(axis=(0, 2, 3))
-    if needs[1]:
-        grad_w = np.einsum("ngol,ngkl->gok", g_g, ctx["cols_g"], optimize=True)
-        gw = grad_w.reshape(ctx["w_shape"])
-    if needs[0]:
-        grad_cols = np.einsum("ngol,gok->ngkl", g_g, ctx["w_g"], optimize=True)
-        grad_cols = grad_cols.reshape(n, c * kh * kw, l)
-        gx = col2im(grad_cols, ctx["x_shape"], kh, kw, sh, sw, ph, pw)
-    if len(needs) > 2:
-        return (gx, gw, gb)
-    return (gx, gw)
-
-
 def _conv2d_bfwd(ctx, *arrays, sh, sw, ph, pw, groups):
     x, weight = arrays[0], arrays[1]
     bias = arrays[2] if len(arrays) > 2 else None
@@ -155,9 +119,8 @@ def _conv2d_bfwd(ctx, *arrays, sh, sw, ph, pw, groups):
     k = c_in_g * kh * kw
     cols_g = cols.reshape(b, n, groups, k, l)
     w_g = weight.reshape(b, groups, cog, k)
-    # (B,1,G,CoG,K) @ (B,N,G,K,L) -> (B,N,G,CoG,L): a broadcasted batch of
-    # the serial kernel's GEMMs — bit-identical per client slice and much
-    # faster than the einsum route, which copies operands into bmm layout
+    # (B,1,G,CoG,K) @ (B,N,G,K,L) -> (B,N,G,CoG,L): one GEMM per
+    # (client, sample, group), whatever B is
     out = np.matmul(w_g[:, None], cols_g)
     out = out.reshape(b, n, c_out, oh, ow)
     if bias is not None:
@@ -185,8 +148,8 @@ def _conv2d_bvjp(ctx, g):
     if len(needs) > 2 and needs[2]:
         gb = g.sum(axis=(1, 3, 4))
     if needs[1]:
-        # contract (N, L) merged, like the serial einsum does — summing the
-        # per-sample partials in any other order drifts off bit-identity
+        # contract over the merged (N, L) axis in one GEMM per (client,
+        # group): summing per-sample partials instead would round differently
         k = ctx["w_g"].shape[-1]
         g2 = np.ascontiguousarray(g_g.transpose(0, 2, 3, 1, 4))
         g2 = g2.reshape(b, groups, cog, n * l)
@@ -203,6 +166,22 @@ def _conv2d_bvjp(ctx, g):
     if len(needs) > 2:
         return (gx, gw, gb)
     return (gx, gw)
+
+
+def _conv2d_fwd(ctx, *arrays, sh, sw, ph, pw, groups):
+    # the batched kernel on a client axis of one: serial and batched conv
+    # issue the same per-(sample, group) GEMMs, hence agree to the bit
+    ctx["arg_batched"] = (True,) * len(arrays)
+    out = _conv2d_bfwd(
+        ctx, *(a[None] for a in arrays), sh=sh, sw=sw, ph=ph, pw=pw, groups=groups
+    )
+    return out[0]
+
+
+def _conv2d_vjp(ctx, g):
+    return tuple(
+        None if grad is None else grad[0] for grad in _conv2d_bvjp(ctx, g[None])
+    )
 
 
 _CONV2D = register_op(
@@ -652,7 +631,10 @@ def cross_entropy(
     return apply_op(_CROSS_ENTROPY, (logits, labels, class_mask))
 
 
-def _soft_cross_entropy_fwd(ctx, logits, *, target_probs, class_mask):
+def _soft_cross_entropy_fwd(ctx, *arrays):
+    logits = arrays[0]
+    target_probs = arrays[1].astype(logits.dtype, copy=False)
+    class_mask = arrays[2] if len(arrays) > 2 else None
     n = logits.shape[0]
     masked = _apply_class_mask(logits, class_mask)
     logp = _log_softmax(masked)
@@ -672,7 +654,7 @@ def _soft_cross_entropy_vjp(ctx, g):
     grad = (ctx["probs"] - ctx["target_probs"]) * (g / ctx["n"])
     if ctx["mask"] is not None:
         grad[:, ~ctx["mask"]] = 0.0
-    return (grad.astype(ctx["dtype"]),)
+    return (grad.astype(ctx["dtype"]),) + (None,) * (len(ctx["needs"]) - 1)
 
 
 _SOFT_CROSS_ENTROPY = register_op(
@@ -682,8 +664,8 @@ _SOFT_CROSS_ENTROPY = register_op(
 
 def soft_cross_entropy(
     logits: Tensor,
-    target_probs: np.ndarray,
-    class_mask: np.ndarray | None = None,
+    target_probs,
+    class_mask=None,
 ) -> Tensor:
     """Mean cross-entropy against a soft target distribution.
 
@@ -691,18 +673,23 @@ def soft_cross_entropy(
     target is the probability distribution predicted by a past task's retained
     knowledge, and the gradient ``softmax(logits) - target`` points along the
     update direction that keeps the current model consistent with that task.
+    Like :func:`cross_entropy`'s labels, ``target_probs`` / ``class_mask``
+    may be passed as (non-grad) tensors so a capture treats them as
+    per-replay inputs; targets are computed in the logits' dtype.
     """
-    target_probs = np.asarray(target_probs, dtype=logits.data.dtype)
+    if not isinstance(target_probs, Tensor):
+        arr = np.asarray(target_probs, dtype=logits.data.dtype)
+        target_probs = Tensor(arr, dtype=arr.dtype)
     if target_probs.shape != logits.shape:
         raise ValueError(
             f"target shape {target_probs.shape} != logits shape {logits.shape}"
         )
-    return apply_op(
-        _SOFT_CROSS_ENTROPY,
-        (logits,),
-        target_probs=target_probs,
-        class_mask=class_mask,
-    )
+    if class_mask is None:
+        return apply_op(_SOFT_CROSS_ENTROPY, (logits, target_probs))
+    if not isinstance(class_mask, Tensor):
+        mask_arr = np.asarray(class_mask)
+        class_mask = Tensor(mask_arr, dtype=mask_arr.dtype)
+    return apply_op(_SOFT_CROSS_ENTROPY, (logits, target_probs, class_mask))
 
 
 def mse_loss(pred: Tensor, target: np.ndarray) -> Tensor:

@@ -17,7 +17,7 @@ operations:
 * a **batched replay** (:meth:`GraphTape.replay_grad_batched`) that runs the
   captured program for ``B`` independent parameter/minibatch sets stacked
   along a new leading axis.  Ops opt in through ``batched_forward`` /
-  ``batched_vjp`` implementations (einsum contractions for conv, broadcast
+  ``batched_vjp`` implementations (broadcast GEMMs for conv, broadcast
   alignment for binary arithmetic); ``batch_exact`` marks ops whose batched
   arithmetic is bit-identical per slice to the unbatched op (verified for
   the matmul/conv/pool/cross-entropy set this substrate ships).
@@ -28,6 +28,11 @@ modules or passed explicitly per replay) and **consts** (baked at capture).
 Parameter shapes are validated on every replay: a module whose parameter
 shapes changed after capture raises a clear ``RuntimeError`` instead of
 silently replaying a stale program.
+
+:func:`replay_backward` / :func:`replay_forward` run a loss (or forward)
+function of a live model as a replay of a tape captured on that model on
+first use (:func:`model_tape`) — the serial training steps' stand-in for
+``loss.backward()``.
 """
 
 from __future__ import annotations
@@ -267,6 +272,10 @@ class GraphTape:
 
     def record(self, op: OpDef, tensors, params: Mapping, out) -> None:
         """Called by ``apply_op`` for every op executed during capture."""
+        if self._finalized:
+            raise RuntimeError(
+                f"op {op.name!r} applied after set_output finalized the tape"
+            )
         slots = []
         for t in tensors:
             slot = self._slot_of.get(id(t))
@@ -307,6 +316,10 @@ class GraphTape:
                 needs[node.out_slot] = True
         self._slot_needs = needs
         self._finalized = True
+        # slots are resolved: holding the capture-time tensors any longer
+        # would pin every activation and VJP context of the capture pass
+        self._slot_of = {}
+        self._keepalive = []
 
     # ------------------------------------------------------------------
     # introspection
@@ -643,3 +656,75 @@ class GraphTape:
         return values[self.output_slot], [
             grads.get(ps.slot) for ps in self.param_slots
         ]
+
+
+# ----------------------------------------------------------------------
+# tapes captured on live models
+# ----------------------------------------------------------------------
+def model_tape(
+    model, fn: Callable, inputs: Mapping[str, np.ndarray]
+) -> tuple[GraphTape, list[int]]:
+    """The graph of ``fn(model, **inputs)`` captured on the live ``model``.
+
+    One tape per (every module's train/eval flag, ``fn``, input shapes and
+    dtypes), captured on first use and kept on the model instance, which
+    never pickles it (see ``Module.__getstate__``); ``fn`` should be a
+    module-level function, since each function object is its own key.  The
+    capture runs ``fn`` once without building a backward graph and then
+    puts back every module buffer, so a train-mode capture does not advance
+    BN running statistics.  Replays read the model's parameters and update
+    its BN buffers in place, as the dynamic ops do.  Returns the tape and
+    its slot -> ``model.parameters()`` index order.
+    """
+    modes = tuple(m.training for m in model.modules())
+    key = (fn, modes, tuple(
+        (name, arr.shape, arr.dtype.str) for name, arr in inputs.items()
+    ))
+    entry = model._tapes.get(key)
+    if entry is None:
+        entry = model._tapes[key] = _capture_model(model, fn, inputs)
+    return entry
+
+
+def _capture_model(model, fn, inputs) -> tuple[GraphTape, list[int]]:
+    from .tensor import Tensor, no_grad  # tensor imports this module
+
+    saved = [(buf, buf.copy()) for _, buf in model.named_buffers()]
+    tensors = {name: Tensor(arr, dtype=arr.dtype) for name, arr in inputs.items()}
+    tape = GraphTape()
+    try:
+        with no_grad(), tape.capture():
+            for name, tensor in tensors.items():
+                tape.add_input(name, tensor)
+            tape.set_output(fn(model, **tensors))
+    finally:
+        for buf, value in saved:
+            buf[...] = value
+    return tape, tape.bind_parameters(model.parameters())
+
+
+def replay_forward(model, fn: Callable, inputs: Mapping[str, np.ndarray]):
+    """The output array of ``fn(model, **inputs)``, replayed from
+    :func:`model_tape`."""
+    tape, _ = model_tape(model, fn, inputs)
+    return tape.replay(inputs)
+
+
+def replay_backward(model, fn: Callable, inputs: Mapping[str, np.ndarray]):
+    """Replay ``fn(model, **inputs)`` forward and backward on
+    :func:`model_tape`; returns the output array.
+
+    Leaves every parameter's ``grad`` as ``model.zero_grad()`` followed by
+    ``fn(...).backward()`` would: a fresh array per parameter the output
+    reaches, ``None`` elsewhere.
+    """
+    tape, order = model_tape(model, fn, inputs)
+    out, grads = tape.replay_grad(inputs)
+    params = model.parameters()
+    for param in params:
+        param.grad = None
+    for index, grad in zip(order, grads):
+        if grad is not None:
+            param = params[index]
+            param.grad = grad.astype(param.data.dtype, copy=True)
+    return out

@@ -31,6 +31,19 @@ class Module:
         object.__setattr__(self, "_modules", OrderedDict())
         object.__setattr__(self, "_buffers", OrderedDict())
         object.__setattr__(self, "training", True)
+        # graph tapes captured on this instance (repro.nn.graph.model_tape)
+        object.__setattr__(self, "_tapes", {})
+
+    def __getstate__(self):
+        # tapes are bound to this instance's tensors: they never travel, and
+        # an unpickled or copied module captures its own
+        state = self.__dict__.copy()
+        del state["_tapes"]
+        return state
+
+    def __setstate__(self, state):
+        self.__dict__.update(state)
+        object.__setattr__(self, "_tapes", {})
 
     # ------------------------------------------------------------------
     # registration

@@ -1,15 +1,19 @@
-"""Focused tests for FedKnowClient's signature-selection and compute paths."""
+"""Focused tests for FedKnowClient's signature-selection and compute paths,
+and for its replayed gradient steps against dynamic autograd."""
 
 from __future__ import annotations
 
 import numpy as np
 import pytest
 
+from repro.core import knowledge as knowledge_module
+from repro.core import restorer as restorer_module
 from repro.core.client import FedKnowClient
 from repro.core.config import FedKnowConfig
 from repro.data import build_benchmark, cifar100_like
 from repro.federated import TrainConfig
 from repro.models import build_model
+from repro.nn.tensor import Tensor, no_grad
 
 
 @pytest.fixture
@@ -153,3 +157,99 @@ class TestKnowledgeGrowth:
         assert entry.task_id == task.task_id
         assert np.array_equal(entry.classes, task.classes)
         assert entry.ratio == config.knowledge_ratio
+
+
+def _dynamic_backward(model, fn, inputs):
+    """``replay_backward``'s contract computed by dynamic autograd."""
+    model.zero_grad()
+    out = fn(model, **{k: Tensor(v, dtype=v.dtype) for k, v in inputs.items()})
+    out.backward()
+    return out.data
+
+
+def _dynamic_forward(model, fn, inputs):
+    with no_grad():
+        return fn(
+            model, **{k: Tensor(v, dtype=v.dtype) for k, v in inputs.items()}
+        ).data
+
+
+class TestReplayedSteps:
+    """Every FedKNOW gradient step replays a tape captured on the live model;
+    on a BN model the client must still match dynamic autograd to the bit."""
+
+    @staticmethod
+    def _client():
+        spec = cifar100_like(
+            train_per_class=6, test_per_class=2, input_shape=(3, 8, 8)
+        ).with_tasks(3)
+        bench = build_benchmark(spec, num_clients=1,
+                                rng=np.random.default_rng(0))
+
+        def factory():
+            return build_model("resnet18", spec.num_classes,
+                               input_shape=spec.input_shape,
+                               rng=np.random.default_rng(3), width=4)
+
+        config = FedKnowConfig(extraction_finetune_iterations=2,
+                               aggregation_finetune_batches=2)
+        train = TrainConfig(batch_size=8, lr=0.05, momentum=0.9)
+        client = FedKnowClient(0, bench.clients[0], factory(), train,
+                               model_factory=factory, fedknow=config,
+                               rng=np.random.default_rng(0))
+        global_state = build_model(
+            "resnet18", spec.num_classes, input_shape=spec.input_shape,
+            rng=np.random.default_rng(4), width=4,
+        ).state_dict()
+        return client, global_state
+
+    @staticmethod
+    def _run(client, global_state) -> dict:
+        record = {}
+        for position in range(3):
+            client.begin_task(position)
+            client.local_train(3)
+            xb = client.task.train_x[:8]
+            record[f"gradient{position}"] = client._task_gradient(
+                xb, client.task.train_y[:8]
+            )
+            if len(client.store):
+                record[f"restored{position}"] = (
+                    client.restorer.restore_gradients(
+                        client.model, list(client.store), xb
+                    )
+                )
+            client.receive_global(global_state, position)
+            client.end_task()
+            record[f"weights{position}"] = client.model.state_dict()
+            record[f"knowledge{position}"] = client.store[position].values
+        record["stats"] = dict(client.integration_stats)
+        return record
+
+    def test_resnet18_client_matches_dynamic_autograd(self, monkeypatch):
+        replayed, global_state = self._client()
+        got = self._run(replayed, global_state)
+        assert replayed.model._tapes
+
+        monkeypatch.setattr(knowledge_module, "replay_backward",
+                            _dynamic_backward)
+        monkeypatch.setattr(restorer_module, "replay_backward",
+                            _dynamic_backward)
+        monkeypatch.setattr(restorer_module, "replay_forward",
+                            _dynamic_forward)
+        dynamic, _ = self._client()
+        want = self._run(dynamic, global_state)
+        assert not dynamic.model._tapes
+
+        assert got.keys() == want.keys()
+        assert got["stats"] == want["stats"]
+        assert got["stats"]["integrations"] > 0
+        for key in got.keys() - {"stats"}:
+            if isinstance(got[key], dict):
+                # parameters plus BN running statistics / retained values
+                assert got[key].keys() == want[key].keys()
+                for name in got[key]:
+                    assert np.array_equal(got[key][name], want[key][name]), (
+                        key, name)
+            else:
+                assert np.array_equal(got[key], want[key]), key

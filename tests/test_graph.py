@@ -9,11 +9,19 @@ Three contracts:
   batched replay of B independent leaf/input sets matches B per-slice
   replays (bit-identical when the tape is ``batch_exact``);
 * **capture semantics** — detach stays a no-copy view, parameter shape
-  changes invalidate the tape loudly, and replay eliminates the per-op
-  dispatch the dynamic tape pays (the profiler's ``dispatches`` counter).
+  changes invalidate the tape loudly, a finalized tape pins no capture-time
+  tensor, and replay eliminates the per-op dispatch the dynamic tape pays
+  (the profiler's ``dispatches`` counter);
+* **model tapes** — :func:`replay_backward` on a live model equals dynamic
+  autograd, captures once per mode and input shape, leaves BN statistics as
+  one dynamic step would, and never travels with a pickled model.
 """
 
 from __future__ import annotations
+
+import gc
+import pickle
+import weakref
 
 import numpy as np
 import pytest
@@ -21,7 +29,7 @@ import pytest
 from repro.models import build_model
 from repro.nn import Tensor
 from repro.nn import functional as F
-from repro.nn.graph import OPS, GraphTape
+from repro.nn.graph import OPS, GraphTape, model_tape, replay_backward
 from repro.nn.profiler import OpProfiler
 from repro.nn.tensor import concat, stack
 
@@ -42,6 +50,19 @@ class Case:
     def __init__(self, make, build):
         self.make = make
         self.build = build
+
+
+def _probs(rng, *shape):
+    p = rng.uniform(0.1, 1.0, size=shape).astype(np.float32)
+    return p / p.sum(axis=-1, keepdims=True)
+
+
+def _conv_case(x_shape, w_shape, stride=1, padding=0, groups=1):
+    return Case(
+        lambda r: ([_f(r, *x_shape), _f(r, *w_shape), _f(r, w_shape[0])], {}),
+        lambda ls, ins: F.conv2d(ls[0], ls[1], ls[2], stride=stride,
+                                 padding=padding, groups=groups),
+    )
 
 
 def _bn_case(rng):
@@ -96,13 +117,8 @@ CASES: dict[str, Case] = {
                    lambda ls, ins: concat(ls, axis=0)),
     "stack": Case(lambda r: ([_f(r, 2, 3), _f(r, 2, 3)], {}),
                   lambda ls, ins: stack(ls, axis=1)),
-    # a real six_cnn layer shape: large enough that the serial einsum
-    # dispatches to the same BLAS contraction the batched matmul uses
-    # (below einsum's optimize threshold the two round differently)
-    "conv2d": Case(
-        lambda r: ([_f(r, 2, 16, 8, 8), _f(r, 32, 16, 3, 3), _f(r, 32)], {}),
-        lambda ls, ins: F.conv2d(ls[0], ls[1], ls[2], stride=1, padding=1),
-    ),
+    # a six_cnn layer shape
+    "conv2d": _conv_case((2, 16, 8, 8), (32, 16, 3, 3), padding=1),
     "max_pool2d": Case(lambda r: ([_f(r, 2, 3, 4, 4)], {}),
                        lambda ls, ins: F.max_pool2d(ls[0], 2)),
     "avg_pool2d": Case(lambda r: ([_f(r, 2, 3, 4, 4)], {}),
@@ -120,10 +136,11 @@ CASES: dict[str, Case] = {
                                         class_mask=ins["mask"]),
     ),
     "soft_cross_entropy": Case(
-        lambda r: ([_f(r, 4, 6)], {}),
-        lambda ls, ins: F.soft_cross_entropy(
-            ls[0], np.full((4, 6), 1 / 6, dtype=np.float32)
-        ),
+        lambda r: ([_f(r, 4, 6)],
+                   {"target": _probs(r, 4, 6),
+                    "mask": np.array([1, 1, 1, 1, 0, 0], dtype=bool)}),
+        lambda ls, ins: F.soft_cross_entropy(ls[0], ins["target"],
+                                             class_mask=ins["mask"]),
     ),
     "dropout": Case(
         lambda r: ([_f(r, 4, 6)], {}),
@@ -132,9 +149,22 @@ CASES: dict[str, Case] = {
     ),
 }
 
-BATCHED_OPS = sorted(
-    name for name, op in OPS.items() if op.batched_forward is not None
-)
+BATCHED_CASES = {
+    name: CASES[name] for name, op in OPS.items()
+    if op.batched_forward is not None
+}
+# shapes on which the serial and batched conv once took different
+# contraction routes and disagreed in the last bits; with one GEMM kernel
+# behind both, a batched slice must equal the serial op exactly
+BATCHED_CASES.update({
+    "conv2d-batch1": _conv_case((1, 16, 8, 8), (32, 16, 3, 3), padding=1),
+    "conv2d-depthwise": _conv_case((2, 8, 8, 8), (8, 1, 3, 3), padding=1,
+                                   groups=8),
+    "conv2d-1x1": _conv_case((2, 16, 8, 8), (32, 16, 1, 1)),
+    "conv2d-stride2": _conv_case((2, 16, 8, 8), (32, 16, 3, 3), stride=2,
+                                 padding=1),
+    "conv2d-2x2x256": _conv_case((2, 64, 2, 2), (256, 64, 3, 3), padding=1),
+})
 
 
 def _run_dynamic(case, rng):
@@ -194,9 +224,9 @@ class TestReplayEquivalence:
                 assert rep_grad is not None
                 assert np.array_equal(dyn_grad, rep_grad)
 
-    @pytest.mark.parametrize("name", BATCHED_OPS)
+    @pytest.mark.parametrize("name", sorted(BATCHED_CASES))
     def test_batched_replay_matches_per_slice(self, name):
-        case = CASES[name]
+        case = BATCHED_CASES[name]
         b = 3
         rng = np.random.default_rng(1)
         sets = [case.make(rng) for _ in range(b)]
@@ -234,6 +264,21 @@ class TestReplayEquivalence:
                 else:
                     assert same(grads[slot][i], slice_grad)
 
+    def test_soft_cross_entropy_replays_fresh_targets(self):
+        """Targets and mask are tape inputs, not capture-time constants."""
+        case = CASES["soft_cross_entropy"]
+        tape, leaves, _ = _capture(case, np.random.default_rng(0))
+        rng = np.random.default_rng(5)
+        fresh = {"target": _probs(rng, 4, 6),
+                 "mask": np.array([0, 1, 1, 0, 1, 1], dtype=bool)}
+        logits = Tensor(leaves[0].data.copy(), requires_grad=True)
+        dynamic = F.soft_cross_entropy(logits, fresh["target"],
+                                       class_mask=fresh["mask"])
+        dynamic.backward()
+        out, (grad,) = tape.replay_grad(fresh)
+        assert np.array_equal(out, dynamic.data)
+        assert np.array_equal(grad, logits.grad)
+
 
 class TestCaptureSemantics:
     def test_detach_is_no_copy_under_capture(self):
@@ -266,6 +311,31 @@ class TestCaptureSemantics:
         with pytest.raises(RuntimeError, match="GraphTape invalidated"):
             tape.replay_grad({"x": x}, params=[])
 
+    def test_finalized_tape_releases_capture_time_tensors(self):
+        rng = np.random.default_rng(0)
+        w = Tensor(_f(rng, 3, 4), requires_grad=True)
+        x = Tensor(_f(rng, 2, 3))
+        tape = GraphTape()
+        with tape.capture():
+            tape.add_input("x", x)
+            hidden = (x @ w).relu()
+            activation = weakref.ref(hidden.data)
+            tape.set_output((hidden * hidden).sum())
+        del hidden
+        gc.collect()
+        assert activation() is None
+        out, (grad,) = tape.replay_grad({"x": x.data})
+        assert np.isfinite(out) and grad.shape == (3, 4)
+
+    def test_ops_after_set_output_are_refused(self):
+        w = Tensor(np.ones((3,), np.float32), requires_grad=True)
+        tape = GraphTape()
+        with pytest.raises(RuntimeError, match="after set_output"):
+            with tape.capture():
+                out = (w * w).sum()
+                tape.set_output(out)
+                out * 2.0
+
     def test_replay_eliminates_per_op_dispatch(self):
         model = build_model("six_cnn", 10, input_shape=(3, 8, 8),
                             rng=np.random.default_rng(0))
@@ -287,3 +357,70 @@ class TestCaptureSemantics:
         with OpProfiler() as replayed:
             tape.replay_grad({"x": x, "y": y})
         assert replayed.dispatches == 0
+
+
+def _masked_ce(model, x, y, mask):
+    return F.cross_entropy(model(x), y, class_mask=mask)
+
+
+def _batch(rng, n, shape=(3, 8, 8), classes=10):
+    x = rng.standard_normal((n,) + shape).astype(np.float32)
+    y = rng.integers(0, 5, size=n).astype(np.int64)
+    mask = np.arange(classes) < 5
+    return {"x": x, "y": y, "mask": mask}
+
+
+def _dynamic_step(model, inputs):
+    model.zero_grad()
+    loss = _masked_ce(model, Tensor(inputs["x"]), inputs["y"],
+                      inputs["mask"])
+    loss.backward()
+    return loss.data, [None if p.grad is None else p.grad.copy()
+                       for p in model.parameters()]
+
+
+class TestModelTapes:
+    @pytest.mark.parametrize("name", ["six_cnn", "resnet18"])
+    def test_replay_backward_equals_dynamic_autograd(self, name):
+        """Same loss, same gradients, same BN statistics, step after step
+        (the capture must not advance BN running statistics itself)."""
+        rng = np.random.default_rng(0)
+        replayed = build_model(name, 10, input_shape=(3, 8, 8),
+                               rng=np.random.default_rng(1), width=4)
+        dynamic = pickle.loads(pickle.dumps(replayed))
+        for model in (replayed, dynamic):
+            model.train()
+        for _ in range(3):
+            inputs = _batch(rng, 4)
+            loss, grads = _dynamic_step(dynamic, inputs)
+            assert np.array_equal(
+                replay_backward(replayed, _masked_ce, inputs), loss
+            )
+            for param, grad in zip(replayed.parameters(), grads):
+                assert np.array_equal(param.grad, grad)
+            for (_, a), (_, b) in zip(replayed.named_buffers(),
+                                      dynamic.named_buffers()):
+                assert np.array_equal(a, b)
+
+    def test_one_capture_per_mode_and_input_shape(self):
+        model = build_model("six_cnn", 10, input_shape=(3, 8, 8),
+                            rng=np.random.default_rng(1), width=4)
+        rng = np.random.default_rng(0)
+        model.train()
+        first, _ = model_tape(model, _masked_ce, _batch(rng, 4))
+        again, _ = model_tape(model, _masked_ce, _batch(rng, 4))
+        smaller, _ = model_tape(model, _masked_ce, _batch(rng, 3))
+        model.eval()
+        evaluated, _ = model_tape(model, _masked_ce, _batch(rng, 4))
+        assert again is first
+        assert len({id(first), id(smaller), id(evaluated)}) == 3
+
+    def test_tapes_stay_behind_when_the_model_is_pickled(self):
+        model = build_model("six_cnn", 10, input_shape=(3, 8, 8),
+                            rng=np.random.default_rng(1), width=4)
+        before = len(pickle.dumps(model))
+        replay_backward(model, _masked_ce, _batch(np.random.default_rng(0), 4))
+        assert model._tapes
+        model.zero_grad()
+        assert len(pickle.dumps(model)) == before
+        assert pickle.loads(pickle.dumps(model))._tapes == {}
