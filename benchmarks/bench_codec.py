@@ -13,12 +13,10 @@ import pytest
 
 from repro.federated import FedAvgServer
 from repro.utils.serialization import (
+    WIRE_V2,
     decode_state,
-    decode_state_v2,
     encode_state,
-    encode_state_v2,
     encoded_num_bytes,
-    encoded_num_bytes_v2,
     sparse_delta_state,
     sparse_topk,
 )
@@ -70,19 +68,19 @@ def test_sparse_delta_encoding(benchmark, model_state):
 
 
 def test_encode_state_v2(benchmark, model_state):
-    payload = benchmark(lambda: encode_state_v2(model_state))
-    assert len(payload) == encoded_num_bytes_v2(model_state)
+    payload = benchmark(lambda: encode_state(model_state, WIRE_V2))
+    assert len(payload) == encoded_num_bytes(model_state)
 
 
 def test_decode_state_v2(benchmark, model_state):
-    payload = encode_state_v2(model_state)
-    decoded = benchmark(lambda: decode_state_v2(payload))
+    payload = encode_state(model_state, WIRE_V2)
+    decoded = benchmark(lambda: decode_state(payload))
     assert set(decoded) == set(model_state)
 
 
 def test_encode_state_v2_fp16(benchmark, model_state):
-    payload = benchmark(lambda: encode_state_v2(model_state, fp16=True))
-    assert len(payload) == encoded_num_bytes_v2(model_state, fp16=True)
+    payload = benchmark(lambda: encode_state(model_state, WIRE_V2, fp16=True))
+    assert len(payload) == encoded_num_bytes(model_state, fp16=True)
     # fp16 values roughly halve the dense payload
     assert len(payload) < 0.6 * encoded_num_bytes(model_state)
 
@@ -99,8 +97,8 @@ def test_decode_state_v2_delta(benchmark, model_state):
     delta_keys = {
         k for k, v in entries.items() if not isinstance(v, np.ndarray)
     }
-    payload = encode_state_v2(entries, delta_keys=delta_keys)
-    decoded = benchmark(lambda: decode_state_v2(payload, base=base))
+    payload = encode_state(entries, WIRE_V2, delta_keys)
+    decoded = benchmark(lambda: decode_state(payload, base=base))
     assert set(decoded) == set(model_state)
 
 
@@ -115,7 +113,7 @@ def test_delta_compression_ratio(benchmark, model_state):
 
     def compress():
         entries = sparse_delta_state(model_state, base, ratio=0.10)
-        return encoded_num_bytes_v2(entries)
+        return encoded_num_bytes(entries)
 
     compressed = benchmark(compress)
     assert compressed * 4 < encoded_num_bytes(model_state)

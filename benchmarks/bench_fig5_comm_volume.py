@@ -5,9 +5,9 @@ strictly less than FedWEIT on every dataset, because FedWEIT additionally
 ships sparse adaptives every round plus the all-clients adaptive broadcast
 at every task start.
 
-The fig5-wire companion sweeps the negotiated transport (dense v1 vs delta
-v2 vs signature-sparse v2) and asserts the compressed uploads actually
-shrink the measured volumes for every method.
+The fig5-wire companion sweeps the transport (dense v1 vs delta v2 vs
+signature-sparse v2) and asserts the compressed uploads actually shrink
+the measured volumes for every method.
 """
 
 from __future__ import annotations

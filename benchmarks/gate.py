@@ -41,10 +41,9 @@ from repro.nn.graph import GraphTape
 from repro.obs import Telemetry
 from repro.serve import SocketRoundEngine
 from repro.utils.serialization import (
+    WIRE_V2,
     decode_state,
-    decode_state_v2,
     encode_state,
-    encode_state_v2,
     sparse_delta_state,
     sparse_topk,
 )
@@ -261,8 +260,8 @@ def hot_path_cases() -> dict[str, float]:
     delta_keys = {
         k for k, v in delta_entries.items() if not isinstance(v, np.ndarray)
     }
-    payload_v2 = encode_state_v2(state)
-    payload_delta = encode_state_v2(delta_entries, delta_keys=delta_keys)
+    payload_v2 = encode_state(state, WIRE_V2)
+    payload_delta = encode_state(delta_entries, WIRE_V2, delta_keys)
     sharded_updates = [
         ClientUpdate(client_id=i, state=s, num_samples=int(w))
         for i, (s, w) in enumerate(
@@ -280,15 +279,15 @@ def hot_path_cases() -> dict[str, float]:
     return {
         "encode_state": best_seconds(lambda: encode_state(state)),
         "decode_state": best_seconds(lambda: decode_state(payload)),
-        "encode_state_v2": best_seconds(lambda: encode_state_v2(state)),
-        "decode_state_v2": best_seconds(lambda: decode_state_v2(payload_v2)),
+        "encode_state_v2": best_seconds(lambda: encode_state(state, WIRE_V2)),
+        "decode_state_v2": best_seconds(lambda: decode_state(payload_v2)),
         # top-k selection is gated separately (sparse_topk); this case
         # times only the v2 delta encoder on precomputed entries
         "encode_delta_v2": best_seconds(
-            lambda: encode_state_v2(delta_entries, delta_keys=delta_keys)
+            lambda: encode_state(delta_entries, WIRE_V2, delta_keys)
         ),
         "decode_delta_v2": best_seconds(
-            lambda: decode_state_v2(payload_delta, base=base)
+            lambda: decode_state(payload_delta, base=base)
         ),
         "sparse_topk": best_seconds(lambda: sparse_topk(dense, dense.size // 10)),
         "aggregate_16_clients": best_seconds(

@@ -150,14 +150,16 @@ def _add_run_arguments(run_p: argparse.ArgumentParser,
                             "in virtual time (default: the synchronous "
                             "fixed-roster trainer)")
     run_p.add_argument("--wire", default="v1", choices=("v1", "v2"),
-                       help="negotiated wire-format version: v1 (dense/"
-                            "sparse records) or v2 (adds delta encoding, "
-                            "per-entry flags and fp16 payloads)")
+                       help="wire-format version: v1 (dense records and "
+                            "sparse deltas) or v2 (adds per-entry flags: "
+                            "absolute sparse records, dense deltas and "
+                            "fp16 payloads)")
     run_p.add_argument("--upload", default="dense",
                        choices=("dense", "delta", "sparse"),
                        help="upload policy: full states, top-k deltas vs "
                             "the previous global state, or top-k signature "
-                            "values (delta/sparse engage after warmup)")
+                            "values (needs --wire v2; delta/sparse engage "
+                            "after warmup)")
     run_p.add_argument("--upload-ratio", type=float, default=0.1,
                        help="fraction of entries kept by delta/sparse "
                             "uploads (the paper's rho; default 0.1)")
@@ -320,9 +322,6 @@ def _cmd_run(args) -> int:
             message = error.args[0] if error.args else error
             print(f"error: invalid --population: {message}", file=sys.stderr)
             return 2
-    if args.fp16 and args.wire != "v2":
-        print("error: --fp16 requires --wire v2", file=sys.stderr)
-        return 2
     try:
         from .federated import create_engine
 
@@ -349,6 +348,14 @@ def _cmd_run(args) -> int:
     transport = f"{wire}:{args.upload}"
     if args.upload != "dense":
         transport += f":{args.upload_ratio:g}"
+    try:
+        from .federated import create_transport
+
+        create_transport(transport)
+    except ValueError as error:
+        print(f"error: invalid transport {transport!r}: {error}",
+              file=sys.stderr)
+        return 2
     try:
         create_scenario(args.scenario)
     except (KeyError, ValueError) as error:

@@ -98,7 +98,7 @@ WIRE_VARIANTS: tuple[tuple[str, str], ...] = (
 
 @dataclass
 class Fig5WireReport:
-    """Upload volume per method under the negotiated transport variants.
+    """Upload volume per method under each transport variant.
 
     Raw Fig. 5 upload volumes for every method under dense v1, top-k delta
     v2 and signature-sparse v2 uploads, plus each variant's measured
@@ -144,7 +144,7 @@ def run_fig5_wire(
     seed: int = 0,
     variants: tuple[tuple[str, str], ...] = WIRE_VARIANTS,
 ) -> Fig5WireReport:
-    """Compare Fig. 5 upload volumes across negotiated transports.
+    """Compare Fig. 5 upload volumes across transports.
 
     Runs every method under each transport variant and reports measured
     upload gigabytes plus the channel's compressed-vs-raw ratio.

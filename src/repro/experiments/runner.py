@@ -146,7 +146,7 @@ def run_single(
     Passing a :class:`ParticipationPolicy`, :class:`Transport`, or
     :class:`Scenario` *instance* bypasses the cache entirely — instances
     may carry non-canonical state (sampling RNG, pending stragglers,
-    negotiated channel bases, custom allocation ranges) that the spec
+    per-channel delta bases, custom allocation ranges) that the spec
     string cannot identify.
     """
     seed = preset.seed if seed is None else seed

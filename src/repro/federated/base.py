@@ -158,7 +158,7 @@ class FederatedClient:
     # transport (communication accounting moved behind the channel)
     # ------------------------------------------------------------------
     def prepare_upload(self, channel: Channel) -> WirePayload:
-        """Pack this round's upload for the negotiated channel.
+        """Pack this round's upload for this client's channel.
 
         The channel owns the wire policy: dense states pass through, and
         once it has a warmed-up base it turns the same state into top-k

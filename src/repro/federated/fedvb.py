@@ -229,7 +229,7 @@ class FedVBServer(FedAvgServer):
         dtypes: dict[str, np.dtype] = {}
         for state, weight in zip(states, weights):
             if isinstance(state, (bytes, bytearray, memoryview)):
-                state = decode_state(state)
+                state = decode_state(state, base=self.global_state)
             if key_order is None:
                 key_order = list(state.keys())
                 key_set = set(key_order)

@@ -8,7 +8,8 @@ memory does not scale with the number of clients — and accepts three upload
 forms interchangeably: plain ``name -> array`` mappings, mappings containing
 :class:`~repro.utils.serialization.SparseTensor` records (interpreted as
 top-k deltas from the current global state), and raw payload bytes produced
-by :func:`~repro.utils.serialization.encode_state`.
+by :func:`~repro.utils.serialization.encode_state` (decoded against the
+global state, so v2 flags keep their meaning).
 
 The streaming math lives in :class:`StreamingAccumulator` so it can run in
 one piece (this server) or per shard
@@ -107,7 +108,7 @@ class StreamingAccumulator:
     def add(self, state: ClientUpload, coeff: float) -> None:
         """Fold one client's upload in at weight ``coeff``."""
         if isinstance(state, (bytes, bytearray, memoryview)):
-            state = decode_state(state)
+            state = decode_state(state, base=self.base)
         if self.key_order is None:
             self.key_order = list(state.keys())
             self.key_set = set(self.key_order)

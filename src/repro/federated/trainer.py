@@ -28,10 +28,10 @@ policies:
   reaches the engine only through the hooks ``RoundEngine`` declares, and
   adopts the replicas an engine hands back at the end of each task;
 * a :class:`~repro.federated.transport.Transport` owns everything between
-  ``prepare_upload`` and ``aggregate_updates``: per-client negotiated
-  channels price every payload (wire v1/v2, dense/delta/sparse uploads,
-  optional fp16), decode uploads against the link's shared base state, and
-  convert bytes to simulated seconds through per-device asymmetric links.
+  ``prepare_upload`` and ``aggregate_updates``: per-client channels price
+  every payload (wire v1/v2, dense/delta/sparse uploads, optional fp16),
+  decode uploads against the link's shared base state, and convert bytes
+  to simulated seconds through per-device asymmetric links.
   Protocol latency is charged **once per round-trip**: the upload leg
   carries it, the download leg rides the open connection;
 * with ``shards > 1`` a :class:`~repro.federated.sharding.ShardedAggregator`
@@ -499,7 +499,7 @@ class FederatedTrainer:
                     handle.release()
             # one shared base snapshot per broadcast, instead of one copy
             # per receiving client; channel bookkeeping stays parent-side so
-            # negotiated warmup/base state survives out-of-process rounds.
+            # channel warmup/base state survives out-of-process rounds.
             # The engine wraps the snapshot in its broadcast handle: a
             # pickled channel then ships a file token instead of the dense
             # base, and socket workers decode it once per broadcast.

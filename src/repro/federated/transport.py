@@ -1,18 +1,15 @@
 """The pluggable transport: everything between upload and aggregation.
 
 A :class:`Transport` owns the communication substrate of a federation: the
-wire-format version its peers negotiate (from the codec's version byte),
-the upload policy (dense states, top-k deltas against the previous global
-state, or top-k absolute "signature" values), optional float16 value
-payloads, and the per-client :class:`~repro.edge.network.NetworkLink`
-derived from the device profile.
+wire-format version of its payloads (every peer decodes both), the upload
+policy (dense states, top-k deltas against the previous global state, or
+top-k absolute "signature" values — v2 only), optional float16 value
+payloads (v2 only), and the per-client
+:class:`~repro.edge.network.NetworkLink` derived from the device profile.
 
 Per client the transport opens a :class:`Channel` — the shared link state
 both endpoints see in this simulation.  The channel
 
-* **negotiates** its wire version: the client proposes the transport's
-  configured version; if the peer does not speak it, the channel falls
-  back to v1 (and upload modes that need v2 semantics fall back with it);
 * **packs** a client's state into a :class:`WirePayload` under the
   effective upload mode (dense until a shared base state exists and the
   warmup rounds have passed);
@@ -40,16 +37,12 @@ import numpy as np
 from ..edge.device import DeviceProfile
 from ..edge.network import NetworkLink, NetworkModel
 from ..utils.serialization import (
-    SUPPORTED_WIRE_VERSIONS,
     WIRE_V1,
     WIRE_V2,
     WireValue,
-    decode_payload,
+    decode_state,
     encode_state,
-    encode_state_v2,
     encoded_num_bytes,
-    encoded_num_bytes_v2,
-    scatter_onto_base,
     sparse_delta_state,
     sparse_topk_state,
 )
@@ -80,19 +73,16 @@ class WirePayload:
     @property
     def num_bytes(self) -> int:
         """Exact encoded size, computed without materialising the bytes."""
-        if self.version == WIRE_V1:
-            return encoded_num_bytes(self.entries)
-        return encoded_num_bytes_v2(self.entries, self.delta_keys, self.fp16)
+        return encoded_num_bytes(self.entries, self.fp16)
 
     def encode(self) -> bytes:
         """The real wire bytes (tests assert ``len == num_bytes``)."""
-        if self.version == WIRE_V1:
-            return encode_state(self.entries)
-        return encode_state_v2(self.entries, self.delta_keys, self.fp16)
+        return encode_state(self.entries, self.version, self.delta_keys,
+                            self.fp16)
 
 
 class Channel:
-    """One client's negotiated link: codec settings + bandwidth + base state."""
+    """One client's link: codec settings + bandwidth + base state."""
 
     def __init__(
         self,
@@ -183,20 +173,7 @@ class Channel:
             isinstance(value, np.ndarray) for value in payload.entries.values()
         ):
             return payload.entries
-        if payload.version == WIRE_V1:
-            # v1 has no flags: sparse records use the legacy delta-from-
-            # global convention, materialised here against the link's base
-            decoded = decode_payload(payload.encode())
-            out: dict[str, WireValue] = {}
-            for name, value in decoded.items():
-                if isinstance(value, np.ndarray) or self.base is None:
-                    out[name] = value
-                else:
-                    out[name] = scatter_onto_base(
-                        self.base[name], value, add=True, name=name
-                    )
-            return out
-        return decode_payload(payload.encode(), base=self.base)
+        return decode_state(payload.encode(), base=self.base)
 
     # ------------------------------------------------------------------
     # download path
@@ -252,7 +229,6 @@ class Transport:
         warmup_rounds: int = 1,
         fp16: bool = False,
         network: NetworkModel | None = None,
-        peer_versions: tuple[int, ...] = SUPPORTED_WIRE_VERSIONS,
     ):
         if wire not in WIRE_NAMES:
             raise ValueError(
@@ -266,6 +242,10 @@ class Transport:
             raise ValueError(f"upload ratio must be in (0, 1], got {ratio}")
         if fp16 and wire == "v1":
             raise ValueError("fp16 payloads need wire v2 (--wire v2)")
+        if upload == "sparse" and wire == "v1":
+            # v1 sparse records are deltas: absolute values would be
+            # added onto the base instead of overwriting it
+            raise ValueError("sparse uploads need wire v2 (--wire v2)")
         if warmup_rounds < 0:
             raise ValueError(f"warmup_rounds must be >= 0, got {warmup_rounds}")
         self.wire = wire
@@ -278,7 +258,6 @@ class Transport:
         #: network survives trainer adoption; the default one is replaced
         #: by the trainer's network model).
         self._network_explicit = network is not None
-        self.peer_versions = tuple(peer_versions)
         self._channels: dict[int, Channel] = {}
 
     def adopt_network(self, network: NetworkModel | None) -> None:
@@ -292,45 +271,20 @@ class Transport:
             return
         if self._channels:
             raise RuntimeError(
-                "cannot rebind the network after channels were negotiated"
+                "cannot rebind the network after channels were opened"
             )
         self.network = network
-
-    # ------------------------------------------------------------------
-    # negotiation
-    # ------------------------------------------------------------------
-    def negotiate_version(self) -> int:
-        """The version both ends agree on, from the codec's version byte.
-
-        The client proposes its configured version; a peer that does not
-        speak it rejects the byte and both fall back to v1, the mandatory
-        baseline every codec decodes.
-        """
-        proposed = WIRE_NAMES[self.wire]
-        return proposed if proposed in self.peer_versions else WIRE_V1
-
-    def negotiated_upload_mode(self, version: int) -> str:
-        """The upload policy the negotiated version can express.
-
-        v1 has no per-entry flags: sparse *deltas* still work (the legacy
-        SparseTensor-as-delta convention), but absolute sparse records
-        would be misread as deltas, so ``sparse`` degrades to ``dense``.
-        """
-        if version < WIRE_V2 and self.upload == "sparse":
-            return "dense"
-        return self.upload
 
     def channel_for(
         self, client_id: int, device: DeviceProfile | None = None
     ) -> Channel:
-        """The (cached) negotiated channel of one client."""
+        """The (cached) channel of one client."""
         channel = self._channels.get(client_id)
         if channel is None:
-            version = self.negotiate_version()
             channel = Channel(
                 client_id=client_id,
-                version=version,
-                upload_mode=self.negotiated_upload_mode(version),
+                version=WIRE_NAMES[self.wire],
+                upload_mode=self.upload,
                 ratio=self.ratio,
                 fp16=self.fp16,
                 link=self.network.link_for_device(device),
@@ -349,13 +303,12 @@ class Transport:
     ) -> dict[str, np.ndarray] | None:
         """One shared base snapshot for a global-state broadcast.
 
-        Returns ``None`` when the negotiated upload mode is dense (no
-        channel tracks a base); otherwise one copied snapshot every
-        receiver's :meth:`Channel.deliver` can share — decode paths never
-        mutate a base, so a single copy per broadcast suffices.
+        Returns ``None`` when the upload mode is dense (no channel tracks
+        a base); otherwise one copied snapshot every receiver's
+        :meth:`Channel.deliver` can share — decode paths never mutate a
+        base, so a single copy per broadcast suffices.
         """
-        version = self.negotiate_version()
-        if self.negotiated_upload_mode(version) == "dense":
+        if self.upload == "dense":
             return None
         return {
             key: np.array(value, copy=True)

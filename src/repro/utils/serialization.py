@@ -1,45 +1,54 @@
 """State-dict serialisation, the sparse wire codec, and size accounting.
 
-Wire format v1 (little-endian)
-------------------------------
+Wire format (little-endian)
+---------------------------
 A payload is a fixed header followed by one record per state entry::
 
     header:  magic ``b"FKSC"`` | version u8 | entry count u32
     record:  name length u16 | name (utf-8)
-             kind u8 (0 = dense, 1 = sparse)
+             flags u8
              dtype length u8 | dtype string (numpy ``dtype.str``, e.g. ``<f4``)
              ndim u8 | shape dims (u32 each)
-             dense  -> C-order array bytes
-             sparse -> nnz u32 | indices (int32) | values (dtype above)
+             dense  -> C-order array values
+             sparse -> nnz u32 | indices (int32) | values
 
 Dense records carry full arrays (model state dicts, BN buffers).  Sparse
-records carry ``{indices: int32, values: float32, shape}`` triples — the
+records carry ``{indices: int32, values, shape}`` triples — the
 top-``rho`` signature weights of a
 :class:`~repro.core.knowledge.TaskKnowledge` or a top-k state delta.  Flat
 positions are int32 on the wire, so no array may exceed ``2**31 - 1``
 elements (:func:`sparse_topk` and the knowledge extractor guard this).
 
-Wire format v2
---------------
-Version 2 keeps the header and record framing (the kind byte becomes a
-flags byte, so framing overhead is byte-identical to v1) and adds three
-per-entry capabilities, negotiated through the version byte by the
-transport layer (:mod:`repro.federated.transport`):
+Both versions share this framing byte for byte; the version byte says
+which record flags a payload may set:
 
-* ``FLAG_SPARSE`` — the record is an ``indices + values`` pair (as in v1);
+====================  ====================  =========
+flag                  v1                    v2
+====================  ====================  =========
+``FLAG_SPARSE`` 0x01  allowed               allowed
+``FLAG_DELTA``  0x02  implied by SPARSE     allowed
+``FLAG_FP16``   0x04  rejected              allowed
+====================  ====================  =========
+
+* ``FLAG_SPARSE`` — the record is an ``indices + values`` pair;
 * ``FLAG_DELTA``  — the record's values are *offsets from a base state*
   both peers share (the previous global model); the decoder reconstructs
-  ``base + value``.  Without this flag a sparse record carries absolute
-  values that overwrite the base at the kept positions;
-* ``FLAG_FP16``   — floating-point values travel as float16 and are
-  upcast to the recorded dtype on decode (the one lossy option; v2 with
-  the flag clear round-trips bit-exactly, i.e. at v1 precision).
+  ``base + value``.  Without it a sparse record carries absolute values
+  that overwrite the base at the kept positions.  v1 has no delta bit:
+  every v1 sparse record is a delta (the legacy convention), so v1
+  carries neither absolute sparse records nor dense deltas;
+* ``FLAG_FP16``   — floating-point values wider than 2 bytes travel as
+  float16 and are upcast to the recorded dtype on decode (the one lossy
+  option; with it clear a payload round-trips bit-exactly).
 
-:func:`encoded_num_bytes` / :func:`encoded_num_bytes_v2` compute the exact
-payload size without materialising it (tests assert equality with the real
-encoders) and are the canonical measure of message size used by the
-communication-cost experiments (Figures 5 and 6).  :func:`state_num_bytes`
-remains the raw sum-of-array-bytes measure for in-memory accounting.
+The decoder rejects any bit outside its version's set, and ``FLAG_FP16``
+on a dtype the encoder never halves.
+
+:func:`encoded_num_bytes` computes the exact payload size without
+materialising it (tests assert equality with the real encoder) and is the
+canonical measure of message size used by the communication-cost
+experiments (Figures 5 and 6).  :func:`state_num_bytes` remains the raw
+sum-of-array-bytes measure for in-memory accounting.
 """
 
 from __future__ import annotations
@@ -55,19 +64,22 @@ from ..obs import metrics as _obs_metrics
 from ..obs import trace as _obs_trace
 
 WIRE_MAGIC = b"FKSC"
-WIRE_VERSION = 1
 WIRE_V1 = 1
 WIRE_V2 = 2
-#: Every wire version this codec can decode (v1 is the mandatory baseline).
-SUPPORTED_WIRE_VERSIONS: tuple[int, ...] = (WIRE_V1, WIRE_V2)
 
 _ENCODED_BYTES = _obs_metrics.METRICS.counter("codec.encoded_bytes")
 _DECODED_BYTES = _obs_metrics.METRICS.counter("codec.decoded_bytes")
 
-#: v2 per-entry encoding flags.
+#: Per-record flags.
 FLAG_SPARSE = 0x01
 FLAG_DELTA = 0x02
 FLAG_FP16 = 0x04
+
+#: The record flags each wire version defines.
+_VERSION_FLAGS = {
+    WIRE_V1: FLAG_SPARSE,
+    WIRE_V2: FLAG_SPARSE | FLAG_DELTA | FLAG_FP16,
+}
 
 _HEADER = struct.Struct("<4sBI")
 _MAX_INDEX = np.iinfo(np.int32).max
@@ -214,55 +226,115 @@ def sparse_topk_state(
 # ----------------------------------------------------------------------
 # wire codec
 # ----------------------------------------------------------------------
-def _record_meta(name: str, value: WireValue) -> tuple[bytes, bytes, tuple[int, ...]]:
+def _version_flags(version: int) -> int:
+    """The record flag bits ``version`` defines; unknown versions raise."""
+    try:
+        return _VERSION_FLAGS[version]
+    except KeyError:
+        raise ValueError(
+            f"unsupported wire version {version}; "
+            f"supported: {tuple(_VERSION_FLAGS)}"
+        ) from None
+
+
+def _halves(dtype: np.dtype) -> bool:
+    """Whether ``FLAG_FP16`` applies: floating values wider than 2 bytes."""
+    return np.issubdtype(dtype, np.floating) and dtype.itemsize > 2
+
+
+def _record_meta(name: str, value: WireValue) -> tuple[bytes, np.dtype, tuple[int, ...]]:
     raw_name = name.encode("utf-8")
     if len(raw_name) > 0xFFFF:
         raise ValueError(f"entry name too long for the wire format: {name!r}")
     dtype = value.values.dtype if isinstance(value, SparseTensor) else value.dtype
-    raw_dtype = dtype.str.encode("ascii")
     shape = value.shape
     if len(shape) > 0xFF:
         raise ValueError(f"too many dimensions for the wire format: {shape}")
-    return raw_name, raw_dtype, shape
+    return raw_name, dtype, shape
 
 
-def encode_state(state: Mapping[str, WireValue]) -> bytes:
-    """Pack a state mapping (dense arrays and/or sparse records) to bytes."""
-    tracer = _obs_trace.TRACER
-    if not tracer.enabled:
-        payload = _encode_state(state)
-        _ENCODED_BYTES.inc(len(payload))
-        return payload
-    with tracer.span("encode", wire=WIRE_V1, entries=len(state)) as span:
-        payload = _encode_state(state)
+def encode_state(
+    state: Mapping[str, WireValue],
+    version: int = WIRE_V1,
+    delta_keys: AbstractSet[str] = frozenset(),
+    fp16: bool = False,
+) -> bytes:
+    """Pack a state mapping (dense arrays and/or sparse records) to bytes.
+
+    ``delta_keys`` names the entries whose values are offsets from a base
+    state both peers share; ``fp16`` ships floating values as float16 (the
+    recorded dtype stays the original, so the decoder upcasts).  A record
+    needing a flag ``version`` does not define raises :class:`ValueError`;
+    v1 sparse records are deltas whether named or not.
+    """
+    with _obs_trace.TRACER.span("encode", wire=version, entries=len(state),
+                                fp16=fp16) as span:
+        payload = _encode_state(state, version, delta_keys, fp16)
         span.attrs["bytes"] = len(payload)
     _ENCODED_BYTES.inc(len(payload))
     return payload
 
 
-def _encode_state(state: Mapping[str, WireValue]) -> bytes:
-    chunks = [_HEADER.pack(WIRE_MAGIC, WIRE_VERSION, len(state))]
+def _encode_state(
+    state: Mapping[str, WireValue],
+    version: int,
+    delta_keys: AbstractSet[str],
+    fp16: bool,
+) -> bytes:
+    allowed = _version_flags(version)
+    chunks = [_HEADER.pack(WIRE_MAGIC, version, len(state))]
     for name, value in state.items():
-        if not isinstance(value, SparseTensor):
-            # note: ascontiguousarray would promote 0-d arrays to 1-d and
-            # desynchronise the size arithmetic in encoded_num_bytes
-            value = np.asarray(value)
-            if not value.flags.c_contiguous:
-                value = np.ascontiguousarray(value)
-        raw_name, raw_dtype, shape = _record_meta(name, value)
         sparse = isinstance(value, SparseTensor)
+        if not sparse:
+            # asarray keeps 0-d arrays 0-d, as encoded_num_bytes counts
+            # them; tobytes() writes C order whatever the layout
+            value = np.asarray(value)
+        raw_name, dtype, shape = _record_meta(name, value)
+        flags = FLAG_SPARSE if sparse else 0
+        if name in delta_keys and not (sparse and version == WIRE_V1):
+            flags |= FLAG_DELTA
+        if fp16 and _halves(dtype):
+            flags |= FLAG_FP16
+        if flags & ~allowed:
+            raise ValueError(
+                f"entry {name!r} needs record flags {flags:#04x}; "
+                f"wire v{version} defines {allowed:#04x}"
+            )
+        raw_dtype = dtype.str.encode("ascii")
         chunks.append(struct.pack("<H", len(raw_name)))
         chunks.append(raw_name)
-        chunks.append(struct.pack("<BB", int(sparse), len(raw_dtype)))
+        chunks.append(struct.pack("<BB", flags, len(raw_dtype)))
         chunks.append(raw_dtype)
         chunks.append(struct.pack(f"<B{len(shape)}I", len(shape), *shape))
         if sparse:
             chunks.append(struct.pack("<I", value.nnz))
             chunks.append(value.indices.tobytes())
-            chunks.append(value.values.tobytes())
-        else:
-            chunks.append(value.tobytes())
+            value = value.values
+        if flags & FLAG_FP16:
+            value = value.astype(np.float16)
+        chunks.append(value.tobytes())
     return b"".join(chunks)
+
+
+def encoded_num_bytes(state: Mapping[str, WireValue], fp16: bool = False) -> int:
+    """Exact :func:`encode_state` payload size, computed without encoding.
+
+    One answer for every version: the delta flag changes what a record
+    means, not its size.
+    """
+    total = _HEADER.size
+    for name, value in state.items():
+        sparse = isinstance(value, SparseTensor)
+        if not sparse:
+            value = np.asarray(value)
+        raw_name, dtype, shape = _record_meta(name, value)
+        total += 2 + len(raw_name) + 2 + len(dtype.str) + 1 + 4 * len(shape)
+        itemsize = 2 if fp16 and _halves(dtype) else dtype.itemsize
+        if sparse:
+            total += 4 + value.nnz * (4 + itemsize)
+        else:
+            total += value.size * itemsize
+    return int(total)
 
 
 def peek_wire_version(payload: bytes | bytearray | memoryview) -> int:
@@ -281,15 +353,19 @@ def peek_wire_version(payload: bytes | bytearray | memoryview) -> int:
 
 def _parse_records(
     payload: bytes | bytearray | memoryview,
-) -> list[tuple[str, int, np.dtype, tuple[int, ...], np.ndarray, np.ndarray | None]]:
-    """Walk a payload's record framing, shared by the v1 and v2 decoders.
+) -> tuple[int, list[tuple]]:
+    """Walk a payload's record framing: the one parser of every version.
 
-    Returns ``(name, flags, dtype, shape, stored, indices)`` tuples —
-    ``stored`` holds the raw wire values (float16 when ``FLAG_FP16`` is
-    set, which v1 never produces), ``indices`` is ``None`` for dense
-    records.  Any framing damage — truncation, corrupted dtype strings,
-    trailing bytes — surfaces as :class:`ValueError`.
+    Returns the version and ``(name, flags, dtype, shape, stored,
+    indices)`` tuples — ``stored`` views the raw wire values (float16
+    under ``FLAG_FP16``), ``indices`` is ``None`` for dense records.  A
+    v1 sparse record comes back with ``FLAG_DELTA`` set.  Framing damage
+    (truncation, corrupted dtype strings, trailing bytes), flag bits the
+    version does not define and ``FLAG_FP16`` on a dtype the encoder
+    never halves all surface as :class:`ValueError`.
     """
+    version = peek_wire_version(payload)
+    allowed = _version_flags(version)
     view = memoryview(payload)
     _, _, count = _HEADER.unpack_from(view, 0)
     offset = _HEADER.size
@@ -304,6 +380,15 @@ def _parse_records(
             offset += 2
             dtype = np.dtype(bytes(view[offset:offset + dtype_len]).decode("ascii"))
             offset += dtype_len
+            if flags & ~allowed:
+                raise ValueError(
+                    f"entry {name!r} sets flags {flags:#04x}; "
+                    f"wire v{version} defines {allowed:#04x}"
+                )
+            if flags & FLAG_FP16 and not _halves(dtype):
+                raise ValueError(f"entry {name!r} sets FLAG_FP16 on {dtype}")
+            if version == WIRE_V1 and flags & FLAG_SPARSE:
+                flags |= FLAG_DELTA  # v1 sparse records are deltas
             (ndim,) = struct.unpack_from("<B", view, offset)
             offset += 1
             shape = struct.unpack_from(f"<{ndim}I", view, offset)
@@ -329,149 +414,10 @@ def _parse_records(
         raise ValueError(
             f"trailing bytes in payload: read {offset} of {len(view)}"
         )
-    return records
+    return version, records
 
 
-def decode_state(payload: bytes | bytearray | memoryview) -> dict[str, WireValue]:
-    """Unpack a payload produced by :func:`encode_state` (lossless, v1)."""
-    _DECODED_BYTES.inc(len(payload))
-    tracer = _obs_trace.TRACER
-    if not tracer.enabled:
-        return _decode_state(payload)
-    with tracer.span("decode", wire=WIRE_V1, bytes=len(payload)):
-        return _decode_state(payload)
-
-
-def _decode_state(payload: bytes | bytearray | memoryview) -> dict[str, WireValue]:
-    version = peek_wire_version(payload)
-    if version != WIRE_V1:
-        raise ValueError(f"unsupported wire version {version}")
-    state: dict[str, WireValue] = {}
-    for name, flags, dtype, shape, stored, indices in _parse_records(payload):
-        if flags & FLAG_SPARSE:
-            state[name] = SparseTensor(indices, stored.copy(), shape)
-        else:
-            state[name] = stored.copy().reshape(shape)
-    return state
-
-
-def encoded_num_bytes(state: Mapping[str, WireValue]) -> int:
-    """Exact :func:`encode_state` payload size, computed without encoding."""
-    total = _HEADER.size
-    for name, value in state.items():
-        if not isinstance(value, SparseTensor):
-            value = np.asarray(value)
-        raw_name, raw_dtype, shape = _record_meta(name, value)
-        total += 2 + len(raw_name) + 2 + len(raw_dtype) + 1 + 4 * len(shape)
-        if isinstance(value, SparseTensor):
-            total += 4 + value.nnz * (4 + value.values.dtype.itemsize)
-        else:
-            total += value.size * value.dtype.itemsize
-    return int(total)
-
-
-# ----------------------------------------------------------------------
-# wire codec, version 2 (delta / fp16 / per-entry flags)
-# ----------------------------------------------------------------------
-def _fp16_applies(dtype: np.dtype, fp16: bool) -> bool:
-    """fp16 compression applies to floating values wider than 2 bytes."""
-    return fp16 and np.issubdtype(dtype, np.floating) and dtype.itemsize > 2
-
-
-def _wire_values(value: np.ndarray, fp16: bool) -> np.ndarray:
-    if not value.flags.c_contiguous:
-        value = np.ascontiguousarray(value)
-    if _fp16_applies(value.dtype, fp16):
-        return value.astype(np.float16)
-    return value
-
-
-def encode_state_v2(
-    state: Mapping[str, WireValue],
-    delta_keys: AbstractSet[str] = frozenset(),
-    fp16: bool = False,
-) -> bytes:
-    """Pack a state mapping as a version-2 payload.
-
-    ``delta_keys`` names the entries whose values are offsets from a base
-    state both peers share; ``fp16`` ships floating values as float16 (the
-    recorded dtype stays the original, so the decoder upcasts).  With both
-    off, the payload is byte-for-byte the v1 encoding except for the
-    version byte.
-    """
-    tracer = _obs_trace.TRACER
-    if not tracer.enabled:
-        payload = _encode_state_v2(state, delta_keys, fp16)
-        _ENCODED_BYTES.inc(len(payload))
-        return payload
-    with tracer.span("encode", wire=WIRE_V2, entries=len(state),
-                     fp16=fp16) as span:
-        payload = _encode_state_v2(state, delta_keys, fp16)
-        span.attrs["bytes"] = len(payload)
-    _ENCODED_BYTES.inc(len(payload))
-    return payload
-
-
-def _encode_state_v2(
-    state: Mapping[str, WireValue],
-    delta_keys: AbstractSet[str],
-    fp16: bool,
-) -> bytes:
-    chunks = [_HEADER.pack(WIRE_MAGIC, WIRE_V2, len(state))]
-    for name, value in state.items():
-        sparse = isinstance(value, SparseTensor)
-        if not sparse:
-            value = np.asarray(value)
-        raw_name, raw_dtype, shape = _record_meta(name, value)
-        flags = (
-            (FLAG_SPARSE if sparse else 0)
-            | (FLAG_DELTA if name in delta_keys else 0)
-        )
-        dtype = value.values.dtype if sparse else value.dtype
-        if _fp16_applies(dtype, fp16):
-            flags |= FLAG_FP16
-        chunks.append(struct.pack("<H", len(raw_name)))
-        chunks.append(raw_name)
-        chunks.append(struct.pack("<BB", flags, len(raw_dtype)))
-        chunks.append(raw_dtype)
-        chunks.append(struct.pack(f"<B{len(shape)}I", len(shape), *shape))
-        if sparse:
-            chunks.append(struct.pack("<I", value.nnz))
-            chunks.append(value.indices.tobytes())
-            chunks.append(_wire_values(value.values, fp16).tobytes())
-        else:
-            chunks.append(_wire_values(value, fp16).tobytes())
-    return b"".join(chunks)
-
-
-def scatter_onto_base(
-    base_value: np.ndarray,
-    record: SparseTensor,
-    add: bool = True,
-    name: str = "?",
-) -> np.ndarray:
-    """Materialise a sparse record against a base array (copying the base).
-
-    ``add=True`` treats the record as a delta (``base + values`` at the
-    kept positions); ``add=False`` overwrites the base there.  The single
-    reconstruction used by the v2 decoder and the v1 legacy convention.
-    """
-    rebuilt = np.array(base_value, copy=True)
-    if rebuilt.shape != record.shape:
-        raise ValueError(
-            f"sparse entry {name!r} has shape {record.shape}, "
-            f"base has {rebuilt.shape}"
-        )
-    flat = rebuilt.reshape(-1)
-    values = record.values.astype(rebuilt.dtype, copy=False)
-    if add:
-        flat[record.indices] += values
-    else:
-        flat[record.indices] = values
-    return rebuilt
-
-
-def _reconstruct_v2(
+def _reconstruct(
     name: str,
     flags: int,
     dtype: np.dtype,
@@ -480,107 +426,63 @@ def _reconstruct_v2(
     indices: np.ndarray | None,
     base: Mapping[str, np.ndarray] | None,
 ) -> WireValue:
-    """Materialise one decoded v2 record against an optional base state."""
-    values = stored.astype(dtype) if flags & FLAG_FP16 else stored
-    if not flags & FLAG_SPARSE:
-        dense = values.reshape(shape)
-        if not flags & FLAG_DELTA:
-            return dense.copy() if dense.base is not None else dense
-        if base is None or name not in base:
+    """Materialise one parsed record against an optional base state."""
+    values = stored.astype(dtype)  # copies out of the payload, upcasts fp16
+    known = None if base is None else base.get(name)
+    if flags & FLAG_SPARSE:
+        record = SparseTensor(indices, values, shape)
+        if known is None:
+            # no base on this end: hand the sparse record through (the
+            # server materialises it against its own global state)
+            return record
+        rebuilt = np.array(known, copy=True)
+        if rebuilt.shape != record.shape:
             raise ValueError(
-                f"delta entry {name!r} requires the shared base state"
+                f"sparse entry {name!r} has shape {record.shape}, "
+                f"base has {rebuilt.shape}"
             )
-        base_value = np.asarray(base[name])
-        if base_value.shape != dense.shape:
-            raise ValueError(
-                f"delta entry {name!r} has shape {dense.shape}, "
-                f"base has {base_value.shape}"
-            )
-        return (base_value + dense).astype(dtype, copy=False)
-    record = SparseTensor(indices, values.copy(), shape)
-    if base is None or name not in base:
-        # no base on this end: hand the sparse record through (the legacy
-        # server convention materialises it against its own global state)
-        return record
-    return scatter_onto_base(
-        base[name], record, add=bool(flags & FLAG_DELTA), name=name
-    )
+        flat = rebuilt.reshape(-1)
+        values = values.astype(rebuilt.dtype, copy=False)
+        if flags & FLAG_DELTA:
+            flat[record.indices] += values
+        else:
+            flat[record.indices] = values
+        return rebuilt
+    dense = values.reshape(shape)
+    if not flags & FLAG_DELTA:
+        return dense
+    if known is None:
+        raise ValueError(f"delta entry {name!r} requires the shared base state")
+    known = np.asarray(known)
+    if known.shape != dense.shape:
+        raise ValueError(
+            f"delta entry {name!r} has shape {dense.shape}, "
+            f"base has {known.shape}"
+        )
+    return (known + dense).astype(dtype, copy=False)
 
 
-def decode_state_v2(
+def decode_state(
     payload: bytes | bytearray | memoryview,
     base: Mapping[str, np.ndarray] | None = None,
 ) -> dict[str, WireValue]:
-    """Unpack a v2 payload, reconstructing delta entries against ``base``.
+    """Unpack a payload of either version, reconstructing against ``base``.
 
     Dense records decode to arrays; dense deltas require ``base`` and
     return ``base + delta``.  Sparse records are materialised against
-    ``base`` when it is given (``FLAG_DELTA`` adds onto the base, absolute
-    records overwrite it at the kept positions); without a base they stay
-    :class:`SparseTensor` records.
+    ``base`` when it holds their entry (``FLAG_DELTA`` adds onto the base,
+    absolute records overwrite it at the kept positions); otherwise they
+    stay :class:`SparseTensor` records.
     """
     _DECODED_BYTES.inc(len(payload))
-    tracer = _obs_trace.TRACER
-    if not tracer.enabled:
-        return _decode_state_v2(payload, base)
-    with tracer.span("decode", wire=WIRE_V2, bytes=len(payload)):
-        return _decode_state_v2(payload, base)
-
-
-def _decode_state_v2(
-    payload: bytes | bytearray | memoryview,
-    base: Mapping[str, np.ndarray] | None,
-) -> dict[str, WireValue]:
-    version = peek_wire_version(payload)
-    if version != WIRE_V2:
-        raise ValueError(f"unsupported wire version {version} (expected 2)")
-    # reconstruction runs after framing validation so its own errors (e.g.
-    # a delta entry without a base) keep their meaning
-    state: dict[str, WireValue] = {}
-    for name, flags, dtype, shape, stored, indices in _parse_records(payload):
-        state[name] = _reconstruct_v2(
-            name, flags, dtype, shape, stored, indices, base
-        )
-    return state
-
-
-def encoded_num_bytes_v2(
-    state: Mapping[str, WireValue],
-    delta_keys: AbstractSet[str] = frozenset(),
-    fp16: bool = False,
-) -> int:
-    """Exact :func:`encode_state_v2` payload size, without encoding."""
-    del delta_keys  # the delta flag changes interpretation, not size
-    total = _HEADER.size
-    for name, value in state.items():
-        sparse = isinstance(value, SparseTensor)
-        if not sparse:
-            value = np.asarray(value)
-        raw_name, raw_dtype, shape = _record_meta(name, value)
-        total += 2 + len(raw_name) + 2 + len(raw_dtype) + 1 + 4 * len(shape)
-        dtype = value.values.dtype if sparse else value.dtype
-        itemsize = 2 if _fp16_applies(dtype, fp16) else dtype.itemsize
-        if sparse:
-            total += 4 + value.nnz * (4 + itemsize)
-        else:
-            total += value.size * itemsize
-    return int(total)
-
-
-def decode_payload(
-    payload: bytes | bytearray | memoryview,
-    base: Mapping[str, np.ndarray] | None = None,
-) -> dict[str, WireValue]:
-    """Version-dispatching decoder: v1 and v2 payloads, one entry point."""
-    version = peek_wire_version(payload)
-    if version == WIRE_V1:
-        return decode_state(payload)
-    if version == WIRE_V2:
-        return decode_state_v2(payload, base=base)
-    raise ValueError(
-        f"unsupported wire version {version}; "
-        f"supported: {SUPPORTED_WIRE_VERSIONS}"
-    )
+    with _obs_trace.TRACER.span("decode", bytes=len(payload)) as span:
+        version, records = _parse_records(payload)
+        span.attrs["wire"] = version
+        # reconstruction runs after framing validation so its own errors
+        # (e.g. a delta entry without a base) keep their meaning
+        return {
+            record[0]: _reconstruct(*record, base) for record in records
+        }
 
 
 # ----------------------------------------------------------------------

@@ -73,6 +73,14 @@ class TestRun:
         assert code == 2
         assert "--wire v2" in capsys.readouterr().err
 
+    def test_sparse_upload_requires_wire_v2(self, capsys):
+        code = main([
+            "run", "--method", "fedavg", "--dataset", "cifar100",
+            "--preset", "unit", "--upload", "sparse",
+        ])
+        assert code == 2
+        assert "--wire v2" in capsys.readouterr().err
+
     def test_upload_ratio_validated(self, capsys):
         code = main([
             "run", "--method", "fedavg", "--dataset", "cifar100",

@@ -19,6 +19,7 @@ from repro.federated import (
     APFLClient,
     FedAvgServer,
     FedRepClient,
+    FedVBServer,
     FedWeitClient,
     FedWeitServer,
     FLCNServer,
@@ -131,6 +132,34 @@ class TestFedAvgServer:
         # delta extraction rounds once in float32, so allow 1-ulp slack
         assert np.allclose(dense_out["w"], sparse_out["w"], atol=1e-6)
         assert dense_out["steps"] == sparse_out["steps"]
+
+    @pytest.mark.parametrize("server_cls", [FedAvgServer, FedVBServer])
+    def test_v2_sparse_bytes_aggregate_like_decoded_dict(self, server_cls):
+        """Raw v2 bytes decode against the server's global state: absolute
+        sparse records overwrite it rather than being added as deltas."""
+        from repro.utils.serialization import (
+            WIRE_V2, decode_state, encode_state, sparse_topk_state,
+        )
+
+        base = {"w": np.full((3, 4), 9.0, np.float32),
+                "steps": np.array(4, dtype=np.int64)}
+        client = {"w": np.arange(12, dtype=np.float32).reshape(3, 4),
+                  "steps": np.array(5, dtype=np.int64)}
+        payload = encode_state(sparse_topk_state(client, 0.25), WIRE_V2)
+        outs = []
+        for decode_first in (False, True):
+            server = server_cls()
+            server.aggregate([base], [1])  # establish the global state
+            upload = (decode_state(payload, base=server.global_state)
+                      if decode_first else payload)
+            outs.append(server.aggregate([upload], [1]))
+        via_bytes, via_dict = outs
+        assert set(via_bytes) == set(via_dict)
+        for key in via_dict:
+            assert np.array_equal(via_bytes[key], via_dict[key])
+        expected = base["w"].copy()
+        expected.reshape(-1)[-3:] = [9.0, 10.0, 11.0]
+        assert np.array_equal(via_bytes["w"], expected)
 
     def test_sparse_upload_shape_mismatch_raises(self):
         from repro.utils.serialization import SparseTensor

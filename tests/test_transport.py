@@ -1,10 +1,11 @@
-"""Tests for the pluggable transport: wire v2, channels, negotiation.
+"""Tests for the pluggable transport: wire v2, channels, transport specs.
 
 Covers the codec contract (property-based round trips, exact size
-arithmetic, corruption errors), version negotiation with v1 fallback,
-channel warmup and base tracking, and the trainer-level guarantees: dense
-transports are bit-identical across wire versions, delta uploads cut
-measured bytes, and the channel's decode shortcut matches the real wire.
+arithmetic, corruption and undefined-flag errors), transport specs and the
+upload modes each wire version can carry, channel warmup and base
+tracking, and the trainer-level guarantees: dense transports are
+bit-identical across wire versions, delta uploads cut measured bytes, and
+the channel's decode shortcut matches the real wire.
 """
 
 from __future__ import annotations
@@ -24,16 +25,13 @@ from repro.federated import (
 )
 from repro.utils.serialization import (
     FLAG_DELTA,
+    FLAG_FP16,
     SparseTensor,
     WIRE_V1,
     WIRE_V2,
-    decode_payload,
     decode_state,
-    decode_state_v2,
     encode_state,
-    encode_state_v2,
     encoded_num_bytes,
-    encoded_num_bytes_v2,
     peek_wire_version,
     sparse_delta_state,
     sparse_topk_state,
@@ -66,7 +64,7 @@ class TestWireV2RoundTrip:
     @settings(max_examples=40, deadline=None)
     def test_dense_v2_round_trip_lossless(self, state):
         """v2 without fp16 round-trips bit-exactly (v1 precision)."""
-        decoded = decode_state_v2(encode_state_v2(state))
+        decoded = decode_state(encode_state(state, WIRE_V2))
         assert set(decoded) == set(state)
         for key in state:
             assert np.array_equal(decoded[key], state[key])
@@ -78,8 +76,8 @@ class TestWireV2RoundTrip:
         """delta ∘ undelta is the identity at fp32: the wire adds no error."""
         if base.shape != delta.shape:
             delta = np.resize(delta, base.shape).astype(np.float32)
-        payload = encode_state_v2({"w": delta}, delta_keys={"w"})
-        decoded = decode_state_v2(payload, base={"w": base})
+        payload = encode_state({"w": delta}, WIRE_V2, delta_keys={"w"})
+        decoded = decode_state(payload, base={"w": base})
         assert np.array_equal(decoded["w"], base + delta)
 
     @given(state=state_dicts)
@@ -87,7 +85,7 @@ class TestWireV2RoundTrip:
     def test_fp16_within_half_precision(self, state):
         """fp16 payloads decode exactly to the float16 rounding of the
         original — lossy by at most half-precision quantisation."""
-        decoded = decode_state_v2(encode_state_v2(state, fp16=True))
+        decoded = decode_state(encode_state(state, WIRE_V2, fp16=True))
         for key in state:
             oracle = state[key].astype(np.float16).astype(np.float32)
             assert np.array_equal(decoded[key], oracle)
@@ -96,8 +94,8 @@ class TestWireV2RoundTrip:
     @given(state=state_dicts, fp16=st.booleans())
     @settings(max_examples=40, deadline=None)
     def test_encoded_num_bytes_v2_exact(self, state, fp16):
-        payload = encode_state_v2(state, fp16=fp16)
-        assert len(payload) == encoded_num_bytes_v2(state, fp16=fp16)
+        payload = encode_state(state, WIRE_V2, fp16=fp16)
+        assert len(payload) == encoded_num_bytes(state, fp16=fp16)
 
     def test_v2_framing_matches_v1_size(self):
         """The flags byte replaces the kind byte: dense v2 == dense v1."""
@@ -106,8 +104,10 @@ class TestWireV2RoundTrip:
             "w": rng.normal(size=(4, 5)).astype(np.float32),
             "steps": np.array(7, dtype=np.int64),
         }
-        assert encoded_num_bytes_v2(state) == encoded_num_bytes(state)
-        assert len(encode_state_v2(state)) == len(encode_state(state))
+        v1, v2 = encode_state(state), encode_state(state, WIRE_V2)
+        assert len(v2) == len(v1) == encoded_num_bytes(state)
+        # only the header's version byte differs
+        assert v2[:4] + v2[5:] == v1[:4] + v1[5:]
 
     def test_sparse_delta_reconstruction(self):
         rng = np.random.default_rng(1)
@@ -115,8 +115,8 @@ class TestWireV2RoundTrip:
         state = {"w": base["w"].copy()}
         state["w"][0, :3] += 2.0
         entries = sparse_delta_state(state, base, ratio=0.10)
-        payload = encode_state_v2(entries, delta_keys={"w"})
-        decoded = decode_state_v2(payload, base=base)
+        payload = encode_state(entries, WIRE_V2, delta_keys={"w"})
+        decoded = decode_state(payload, base=base)
         assert np.allclose(decoded["w"], state["w"])
 
     def test_sparse_absolute_overwrites_base(self):
@@ -125,7 +125,7 @@ class TestWireV2RoundTrip:
         sparse = SparseTensor(
             np.array([0, 4], np.int32), np.array([1.0, 2.0], np.float32), (2, 3)
         )
-        decoded = decode_state_v2(encode_state_v2({"w": sparse}), base=base)
+        decoded = decode_state(encode_state({"w": sparse}, WIRE_V2), base=base)
         expected = base["w"].copy()
         expected.reshape(-1)[[0, 4]] = [1.0, 2.0]
         assert np.array_equal(decoded["w"], expected)
@@ -134,46 +134,50 @@ class TestWireV2RoundTrip:
         sparse = SparseTensor(
             np.array([1], np.int32), np.array([3.0], np.float32), (4,)
         )
-        decoded = decode_state_v2(
-            encode_state_v2({"w": sparse}, delta_keys={"w"})
+        decoded = decode_state(
+            encode_state({"w": sparse}, WIRE_V2, delta_keys={"w"})
         )
         assert isinstance(decoded["w"], SparseTensor)
 
     def test_dense_delta_requires_base(self):
-        payload = encode_state_v2(
-            {"w": np.ones(3, np.float32)}, delta_keys={"w"}
+        payload = encode_state(
+            {"w": np.ones(3, np.float32)}, WIRE_V2, delta_keys={"w"}
         )
         with pytest.raises(ValueError):
-            decode_state_v2(payload)
+            decode_state(payload)
 
     def test_dense_delta_shape_mismatch_rejected(self):
         """A mis-shaped base must raise, not silently numpy-broadcast."""
-        payload = encode_state_v2(
-            {"w": np.ones((1, 4), np.float32)}, delta_keys={"w"}
+        payload = encode_state(
+            {"w": np.ones((1, 4), np.float32)}, WIRE_V2, delta_keys={"w"}
         )
         with pytest.raises(ValueError):
-            decode_state_v2(payload, base={"w": np.zeros((3, 4), np.float32)})
+            decode_state(payload, base={"w": np.zeros((3, 4), np.float32)})
 
     def test_integer_entries_ignore_fp16(self):
         state = {"steps": np.array([3, 4], dtype=np.int64)}
-        decoded = decode_state_v2(encode_state_v2(state, fp16=True))
+        decoded = decode_state(encode_state(state, WIRE_V2, fp16=True))
         assert np.array_equal(decoded["steps"], state["steps"])
         assert decoded["steps"].dtype == np.int64
-        assert encoded_num_bytes_v2(state, fp16=True) == encoded_num_bytes_v2(state)
+        assert encoded_num_bytes(state, fp16=True) == encoded_num_bytes(state)
 
 
 class TestWireErrors:
     def test_corrupted_magic_rejected(self):
-        payload = bytearray(encode_state_v2({"w": np.zeros(3, np.float32)}))
+        payload = bytearray(
+            encode_state({"w": np.zeros(3, np.float32)}, WIRE_V2)
+        )
         payload[:4] = b"NOPE"
         with pytest.raises(ValueError):
-            decode_payload(bytes(payload))
+            decode_state(bytes(payload))
 
     def test_unknown_version_rejected(self):
-        payload = bytearray(encode_state_v2({"w": np.zeros(3, np.float32)}))
+        payload = bytearray(
+            encode_state({"w": np.zeros(3, np.float32)}, WIRE_V2)
+        )
         payload[4] = 9
         with pytest.raises(ValueError):
-            decode_payload(bytes(payload))
+            decode_state(bytes(payload))
         assert peek_wire_version(bytes(payload)) == 9  # header itself is fine
 
     @given(cut=st.integers(min_value=1, max_value=200))
@@ -181,21 +185,23 @@ class TestWireErrors:
     def test_truncated_payload_rejected(self, cut):
         """Every truncation point — including mid-name, mid-dtype and
         mid-shape — must surface as ValueError, never TypeError."""
-        payload = encode_state_v2(
-            {"w": np.arange(12, dtype=np.float32).reshape(3, 4)}
+        payload = encode_state(
+            {"w": np.arange(12, dtype=np.float32).reshape(3, 4)}, WIRE_V2
         )
         cut = min(cut, len(payload) - 1)
         with pytest.raises(ValueError):
-            decode_payload(payload[:-cut])
+            decode_state(payload[:-cut])
 
     def test_corrupted_dtype_rejected(self):
         """Garbage in the dtype string raises ValueError in v1 and v2."""
-        for encode in (encode_state, encode_state_v2):
-            payload = bytearray(encode({"w": np.zeros(3, np.float32)}))
+        for version in (WIRE_V1, WIRE_V2):
+            payload = bytearray(
+                encode_state({"w": np.zeros(3, np.float32)}, version)
+            )
             at = bytes(payload).index(b"<f4")
             payload[at:at + 3] = b"zzz"
             with pytest.raises(ValueError):
-                decode_payload(bytes(payload))
+                decode_state(bytes(payload))
 
     def test_truncated_v1_rejected(self):
         payload = encode_state({"w": np.arange(8, dtype=np.float32)})
@@ -204,39 +210,51 @@ class TestWireErrors:
 
     def test_header_too_short(self):
         with pytest.raises(ValueError):
-            decode_payload(b"FK")
+            decode_state(b"FK")
 
-    def test_wrong_version_for_specific_decoder(self):
-        v1 = encode_state({"w": np.zeros(2, np.float32)})
-        v2 = encode_state_v2({"w": np.zeros(2, np.float32)})
+    @pytest.mark.parametrize("dtype, version, fp16, flags, as_version", [
+        # a float16 buffer would decode under the record's "<f4"
+        (np.float32, WIRE_V2, True, None, WIRE_V1),
+        (np.float32, WIRE_V1, False, 0x02, None),
+        (np.float32, WIRE_V2, False, 0x80, None),
+        (np.int16, WIRE_V2, False, FLAG_FP16, None),
+        (np.float16, WIRE_V2, False, FLAG_FP16, None),
+    ], ids=["v2-fp16-relabelled-v1", "v1-kind-byte-2", "v2-flag-0x80",
+            "fp16-on-int16", "fp16-on-float16"])
+    def test_undefined_flags_rejected(self, dtype, version, fp16, flags,
+                                      as_version):
+        """The decoder raises on any flag bit its version does not define
+        and on FLAG_FP16 over a dtype the encoder never halves."""
+        payload = bytearray(
+            encode_state({"w": np.arange(3, dtype=dtype)}, version, fp16=fp16)
+        )
+        if flags is not None:
+            payload[payload.index(b"w", 9) + 1] = flags  # the flags byte
+        if as_version is not None:
+            payload[4] = as_version
+        # with a base, each payload would otherwise decode without error
         with pytest.raises(ValueError):
-            decode_state(v2)
+            decode_state(bytes(payload), base={"w": np.zeros(3, dtype)})
+
+    def test_encoder_refuses_flags_beyond_its_version(self):
+        """v1 carries neither fp16 values nor dense deltas."""
+        dense = {"w": np.zeros(3, np.float32)}
         with pytest.raises(ValueError):
-            decode_state_v2(v1)
+            encode_state(dense, WIRE_V1, fp16=True)
+        with pytest.raises(ValueError):
+            encode_state(dense, WIRE_V1, delta_keys={"w"})
+        with pytest.raises(ValueError):
+            encode_state(dense, 9)
 
 
 class TestNegotiation:
+    """Transport construction: specs, versions and upload modes."""
+
     def test_v2_negotiates_v2(self):
         transport = Transport(wire="v2", upload="sparse")
         channel = transport.channel_for(0)
         assert channel.version == WIRE_V2
         assert channel.upload_mode == "sparse"
-
-    def test_v2_falls_back_to_v1_when_peer_rejects(self):
-        """A peer that rejects the version byte forces the v1 baseline."""
-        transport = Transport(wire="v2", upload="sparse", peer_versions=(1,))
-        channel = transport.channel_for(0)
-        assert channel.version == WIRE_V1
-        # absolute sparse records would be misread under v1 conventions
-        assert channel.upload_mode == "dense"
-        assert not channel.fp16
-
-    def test_delta_survives_v1_fallback(self):
-        """v1 sparse records are deltas by convention, so delta still works."""
-        transport = Transport(wire="v2", upload="delta", peer_versions=(1,))
-        channel = transport.channel_for(0)
-        assert channel.version == WIRE_V1
-        assert channel.upload_mode == "delta"
 
     def test_fp16_requires_v2(self):
         with pytest.raises(ValueError):
@@ -249,7 +267,7 @@ class TestNegotiation:
 
     def test_bad_specs_rejected(self):
         for spec in ("v3:dense", "v2:turbo", "v2:delta:x", "v2:delta:0.1:y",
-                     "v1+fp16:dense"):
+                     "v1+fp16:dense", "v1:sparse:0.1"):
             with pytest.raises(ValueError):
                 create_transport(spec)
 
@@ -319,13 +337,14 @@ class TestChannel:
 
     def test_decode_shortcut_matches_real_wire(self):
         """channel.decode == the honest encode -> decode round trip."""
-        for spec in ("v2:delta:0.3", "v2:sparse:0.3", "v2+fp16:delta:0.3"):
+        for spec in ("v1:delta:0.3", "v2:delta:0.3", "v2:sparse:0.3",
+                     "v2+fp16:delta:0.3"):
             channel = self._channel(spec)
             channel.deliver(self._state(seed=1))
             state = self._state(seed=2, shift=0.1)
             payload = channel.prepare(state)
             via_channel = channel.decode(payload)
-            via_wire = decode_payload(payload.encode(), base=channel.base)
+            via_wire = decode_state(payload.encode(), base=channel.base)
             assert set(via_channel) == set(via_wire)
             for key in via_wire:
                 assert np.array_equal(

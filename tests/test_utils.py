@@ -2,11 +2,14 @@
 
 from __future__ import annotations
 
+import hashlib
+
 import numpy as np
 import pytest
 
 from repro.nn import init
 from repro.utils import (
+    WIRE_V2,
     SparseTensor,
     decode_state,
     encode_state,
@@ -97,6 +100,37 @@ class TestWireCodec:
             {"noncontig": rng.normal(size=(6, 4)).T},
         ):
             assert encoded_num_bytes(state) == len(encode_state(state))
+
+    def test_golden_bytes(self):
+        """The byte layout is pinned: SHA-256 of one v1 and one v2 payload
+        (the sizes alone would not catch reordered or mis-flagged bytes)."""
+        v1_state = {
+            "dense": np.arange(12, dtype=np.float32).reshape(3, 4) * 0.5 - 1.25,
+            "steps": np.array(7, dtype=np.int64),
+            "strided": np.arange(24, dtype=np.float32).reshape(4, 6)[:, ::2].T,
+            "sparse": SparseTensor(np.array([1, 5, 8], np.int32),
+                                   np.array([0.5, -2.0, 3.25], np.float32),
+                                   (3, 3)),
+        }
+        v2_state = {
+            "w": np.linspace(-1.0, 1.0, 6, dtype=np.float32).reshape(2, 3),
+            "b": np.array([0.1, 0.2, 0.3], dtype=np.float32),
+            "steps": np.array([3, 4], dtype=np.int64),
+            "sparse": SparseTensor(np.array([0, 4], np.int32),
+                                   np.array([1.5, -0.25], np.float32), (2, 3)),
+        }
+        assert not v1_state["strided"].flags.c_contiguous
+        v1 = encode_state(v1_state)
+        v2 = encode_state(v2_state, WIRE_V2, delta_keys={"w", "sparse"},
+                          fp16=True)
+        assert len(v1) == encoded_num_bytes(v1_state) == 220
+        assert len(v2) == encoded_num_bytes(v2_state, fp16=True) == 128
+        assert hashlib.sha256(v1).hexdigest() == (
+            "5fd622962c6e2255b0943bd4ac03c3faf2d88c5b7d3ad9481bdf4bd448c7b5c4"
+        )
+        assert hashlib.sha256(v2).hexdigest() == (
+            "d19ae5b588a139aef84ee9fe85fae0bc8d1cd988a926fe16ed6d3949f4ca56e9"
+        )
 
     def test_sparse_record_cost(self):
         """A sparse record costs 8 bytes per nonzero beyond its framing."""
