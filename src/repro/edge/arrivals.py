@@ -34,6 +34,7 @@ sessions repeat cyclically).  Example::
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -102,6 +103,13 @@ class PopulationModel:
     def __post_init__(self):
         if self.family not in ("fixed", "uniform", "pareto", "lognormal"):
             raise ValueError(f"unknown population family {self.family!r}")
+        # NaN passes every range check below, and infinite values either
+        # overflow the draws or schedule nobody
+        for name, value in (("shape", self.shape), ("scale", self.scale),
+                            ("churn session mean", self.churn_on),
+                            ("churn off-time mean", self.churn_off)):
+            if value is not None and not math.isfinite(value):
+                raise ValueError(f"population {name} must be finite, got {value}")
         if self.family == "pareto" and self.shape <= 1.0:
             raise ValueError(
                 f"pareto arrivals need shape alpha > 1 (finite mean gap), "

@@ -7,11 +7,15 @@ in bursts, drop mid-sequence, and report late over heterogeneous links —
 so this module decouples wall-clock from round index with a deterministic
 discrete-event simulator:
 
-* :class:`EventQueue` — a priority-queue event loop over virtual time.
-  Events (:class:`Event`) are client arrivals/departures, per-client
-  train/upload completions, shard-local staleness cut-offs, round closes,
-  and evictions; ties are broken by push order, so runs are exactly
-  reproducible.
+* :class:`EventQueue` — the event loop's priority queue over virtual time:
+  a binary heap of single events plus **sorted runs**, blocks of same-kind
+  events known all at once (a round's upload completions, a wave of
+  departures) kept as numpy arrays.  One rule orders both: ``(time, seq)``,
+  where ``seq`` is the push counter and a run reserves its seqs as one
+  block, so every simulation is exactly reproducible and no tie depends on
+  which store an event sits in.  Events (:class:`Event`) are client arrivals and
+  departures, upload completions, shard-local staleness cut-offs, round
+  closes, and evictions.
 * :class:`AsyncRoundLoop` — a long-lived server loop over a *lightweight*
   population (per-client numpy state, no real models): rounds overlap in
   the sense that stragglers' uploads from earlier rounds are still in
@@ -19,8 +23,10 @@ discrete-event simulator:
   round's uploads at its own ``deadline:auto``-style cut-off (the max of
   its members' per-client deadlines); an upload arriving ``s`` shard-round
   closes late is aggregated at staleness ``s`` — or **evicted** when
-  ``s > max_staleness``.  This is what scales to the 10^5–10^6-client
-  regime of ``fig-scaling``.
+  ``s > max_staleness``.  Each round's uploads enter the queue as one run,
+  and the end of each client's training leg is counted as an event but
+  never queued, since nothing happens when it passes.  This is what scales
+  to the 10^5–10^6-client regime of ``fig-scaling``.
 * :class:`PopulationSimulator` — the user-facing facade: builds the
   population schedule (:mod:`repro.edge.arrivals`), derives per-client
   train/upload durations from each device's
@@ -47,9 +53,11 @@ policies.
 from __future__ import annotations
 
 import heapq
+import math
 import time
 from dataclasses import dataclass, field
 from enum import IntEnum
+from itertools import repeat
 from typing import NamedTuple
 
 import numpy as np
@@ -93,12 +101,43 @@ class Event(NamedTuple):
     generation: int = -1
 
 
+#: A run keeps its events as numpy arrays and builds this many
+#: :class:`Event` objects at a time, so a long run never holds them all.
+_RUN_SLICE = 4096
+
+
+def _run_events(times, seqs, kind, clients, round_index, generations):
+    """Yield a sorted run's :class:`Event`\\ s, ``_RUN_SLICE`` at a time."""
+    for start in range(0, len(times), _RUN_SLICE):
+        part = slice(start, start + _RUN_SLICE)
+        # tuple.__new__ on zipped rows builds each Event without a Python
+        # frame per event
+        yield from map(tuple.__new__, repeat(Event), zip(
+            times[part].tolist(), seqs[part].tolist(), repeat(kind),
+            clients[part].tolist(), repeat(round_index),
+            repeat(-1) if generations is None else generations[part].tolist(),
+        ))
+
+
 class EventQueue:
-    """A deterministic min-heap of :class:`Event`\\ s over virtual time."""
+    """A deterministic priority queue of :class:`Event`\\ s over virtual time.
+
+    Single events (:meth:`push`) sit on a binary heap.  A *run*
+    (:meth:`push_run`) is a block of same-kind events queued at once: it
+    reserves the next seqs as one block, in the order given, and is sorted
+    by ``(time, seq)`` once, on arrival.  :meth:`pop` and :meth:`peek`
+    merge the heap with the runs by that same ``(time, seq)`` rule through
+    one cursor per live run, so an event dispatches at the same point
+    whichever store holds it.  Times must not be NaN: ``(time, seq)`` is
+    then a total order.
+    """
 
     def __init__(self):
         self._heap: list[Event] = []
+        #: Min-heap of ``[head event, rest of the run]`` cursors.
+        self._runs: list[list] = []
         self._seq = 0
+        self._size = 0
         #: Total events ever pushed (the loop's work measure).
         self.pushed = 0
 
@@ -113,20 +152,65 @@ class EventQueue:
         event = Event(time, self._seq, int(kind), client, round_index, generation)
         self._seq += 1
         self.pushed += 1
+        self._size += 1
         heapq.heappush(self._heap, event)
         return event
 
+    def push_run(
+        self,
+        times: np.ndarray,
+        kind: int,
+        clients: np.ndarray,
+        round_index: int = -1,
+        generations: np.ndarray | None = None,
+    ) -> None:
+        """Queue one ``kind`` event per entry of ``times`` as a sorted run.
+
+        Entry ``i`` gets the seq that the ``i``-th of ``len(times)`` single
+        pushes would have had, so the run pops exactly where those pushes
+        would have.
+        """
+        count = len(times)
+        if not count:
+            return
+        # a stable sort by time is a sort by (time, seq)
+        order = np.argsort(times, kind="stable")
+        events = _run_events(
+            times[order], self._seq + order, int(kind), clients[order],
+            round_index, None if generations is None else generations[order],
+        )
+        self._seq += count
+        self.pushed += count
+        self._size += count
+        heapq.heappush(self._runs, [next(events), events])
+
     def pop(self) -> Event:
-        return heapq.heappop(self._heap)
+        runs, heap = self._runs, self._heap
+        if runs and (not heap or runs[0][0] < heap[0]):
+            cursor = runs[0]
+            event = cursor[0]
+            following = next(cursor[1], None)
+            if following is None:
+                heapq.heappop(runs)
+            else:
+                cursor[0] = following
+                heapq.heapreplace(runs, cursor)
+        else:
+            event = heapq.heappop(heap)
+        self._size -= 1
+        return event
 
     def peek(self) -> Event | None:
-        return self._heap[0] if self._heap else None
+        runs, heap = self._runs, self._heap
+        if runs and (not heap or runs[0][0] < heap[0]):
+            return runs[0][0]
+        return heap[0] if heap else None
 
     def __len__(self) -> int:
-        return len(self._heap)
+        return self._size
 
     def __bool__(self) -> bool:
-        return bool(self._heap)
+        return self._size > 0
 
 
 # ----------------------------------------------------------------------
@@ -265,6 +349,17 @@ class AsyncRoundLoop:
         self.train_seconds = np.asarray(train_seconds, dtype=float)
         self.upload_seconds = np.asarray(upload_seconds, dtype=float)
         self.deadline_seconds = np.asarray(deadline_seconds, dtype=float)
+        # an infinite deadline never closes a round (under churn the loop
+        # then runs forever), and NaN or negative times break (time, seq)
+        for name, values in (("train", self.train_seconds),
+                             ("upload", self.upload_seconds)):
+            if not (np.isfinite(values) & (values >= 0)).all():
+                raise ValueError(f"{name} seconds must be finite and >= 0")
+        if not (np.isfinite(self.deadline_seconds)
+                & (self.deadline_seconds > 0)).all():
+            raise ValueError("deadline seconds must be finite and positive")
+        if not math.isfinite(jitter_sigma):
+            raise ValueError(f"jitter_sigma must be finite, got {jitter_sigma}")
         self.num_rounds = num_rounds
         self.max_staleness = max_staleness
         self.seed = seed
@@ -288,32 +383,37 @@ class AsyncRoundLoop:
         shard_round = [0] * len(self.shard_deadline)
         hist = report.staleness_hist
         present_count = inflight = 0
-        # first-wave arrivals ride a sorted pointer instead of pre-loading
-        # the heap with one event per client: an arrival only matters at
-        # the next round open (a running round never adopts newcomers), so
-        # everyone arrived by then is folded in just before scheduling.
-        # Churn departures/returns DO ride the queue — they matter mid-round.
-        first_wave = iter(np.argsort(schedule.arrival, kind="stable").tolist())
-        head = next(first_wave, None)
+        # round k + 1 opens at round k's close, so every close is known now
+        opens = [0.0]
+        for _ in range(self.num_rounds):
+            opens.append(opens[-1] + self.round_deadline)
+        final_close = opens[-1]
+        # first-wave arrivals are a sorted slice, not events: an arrival
+        # only matters at the next round open (a running round never adopts
+        # newcomers), so everyone arrived by then is folded in just before
+        # scheduling.  Their first departures join the queue as one run.
+        first_wave = np.argsort(schedule.arrival, kind="stable")
+        first_times = schedule.arrival[first_wave]
+        arrived = 0
 
         def inject_arrivals(now: float) -> int:
-            nonlocal head, present_count
-            injected = 0
-            while head is not None and schedule.arrival[head] <= now:
-                present[head] = True
-                present_count += 1
-                injected += 1
-                if schedule.has_churn:
-                    queue.push(
-                        schedule.departure_after(head, schedule.arrival[head]),
-                        EventKind.DEPARTURE, client=head,
-                    )
-                head = next(first_wave, None)
+            nonlocal arrived, present_count
+            stop = int(np.searchsorted(first_times, now, side="right"))
+            wave = first_wave[arrived:stop]
+            arrived = stop
+            present[wave] = True
+            present_count += len(wave)
             report.peak_present = max(report.peak_present, present_count)
-            return injected
+            if schedule.has_churn:
+                queue.push_run(
+                    schedule.arrival[wave] + schedule.session[wave],
+                    EventKind.DEPARTURE, wave,
+                )
+            return len(wave)
 
-        def open_round(round_index: int, now: float) -> None:
+        def open_round(round_index: int) -> None:
             nonlocal events
+            now = opens[round_index]
             events += inject_arrivals(now)
             ids = np.flatnonzero(present & ~busy)
             stats = SimRound(
@@ -332,53 +432,54 @@ class AsyncRoundLoop:
                     self.jitter_sigma * rng.standard_normal(len(ids))
                     - 0.5 * self.jitter_sigma**2
                 )
+                # a training leg ends with nothing to do, so it is counted,
+                # not queued: it would pop before the final close exactly
+                # when it ends at or before it, since the final close is
+                # queued after every training leg
                 train_end = now + self.train_seconds[ids] * jitter
+                events += int(np.count_nonzero(train_end <= final_close))
                 upload_end = now + (
                     self.train_seconds[ids] + self.upload_seconds[ids]
                 ) * jitter
                 busy[ids] = True
-                for cid, t_end, u_end, gen in zip(
-                    ids.tolist(), train_end.tolist(), upload_end.tolist(),
-                    generation[ids].tolist(),
-                ):
-                    queue.push(t_end, EventKind.TRAIN_COMPLETE,
-                               client=cid, round_index=round_index,
-                               generation=gen)
-                    queue.push(u_end, EventKind.UPLOAD_COMPLETE,
-                               client=cid, round_index=round_index,
-                               generation=gen)
+                queue.push_run(upload_end, EventKind.UPLOAD_COMPLETE, ids,
+                               round_index=round_index,
+                               generations=generation[ids])
             for shard, cutoff in enumerate(self.shard_deadline):
                 queue.push(now + cutoff, EventKind.SHARD_CLOSE,
                            client=shard, round_index=round_index)
-            queue.push(now + self.round_deadline, EventKind.ROUND_CLOSE,
+            queue.push(opens[round_index + 1], EventKind.ROUND_CLOSE,
                        round_index=round_index)
 
         events = 0
-        open_round(0, 0.0)
+        open_round(0)
         inflight = int(busy.sum())
         report.peak_inflight = max(report.peak_inflight, inflight)
+        # the upload branch runs once per scheduled client: its lookups
+        # are bound to locals
+        pop, rounds = queue.pop, report.rounds
+        shard_of, max_staleness = self.shard_of.tolist(), self.max_staleness
+        upload_complete = EventKind.UPLOAD_COMPLETE
         while True:
-            event = queue.pop()
+            event = pop()
             events += 1
             kind = event.kind
-            if kind == EventKind.UPLOAD_COMPLETE:
+            if kind == upload_complete:
                 cid = event.client
                 if event.generation != generation[cid]:
                     continue  # departed mid-flight; loss counted there
                 busy[cid] = False
                 inflight -= 1
-                late = shard_round[self.shard_of[cid]] - event.round_index
-                if late <= self.max_staleness:
+                late = shard_round[shard_of[cid]] - event.round_index
+                if late <= max_staleness:
                     hist[late] = hist.get(late, 0) + 1
                     if late == 0:
-                        report.rounds[event.round_index].reported += 1
+                        rounds[event.round_index].reported += 1
                     else:
-                        report.rounds[-1].stale += 1
+                        rounds[-1].stale += 1
                 else:
                     queue.push(event.time, EventKind.EVICTION,
                                client=cid, round_index=event.round_index)
-            elif kind == EventKind.TRAIN_COMPLETE:
-                pass  # compute leg done; the upload leg is already queued
             elif kind == EventKind.ARRIVAL:
                 # a churned client returning online
                 cid = event.client
@@ -396,20 +497,20 @@ class AsyncRoundLoop:
                 if busy[cid]:
                     busy[cid] = False
                     inflight -= 1
-                    report.rounds[-1].lost += 1
+                    rounds[-1].lost += 1
                 queue.push(schedule.return_after(cid, event.time),
                            EventKind.ARRIVAL, client=cid)
             elif kind == EventKind.SHARD_CLOSE:
                 shard_round[event.client] = event.round_index + 1
             elif kind == EventKind.EVICTION:
-                report.rounds[-1].evicted += 1
+                rounds[-1].evicted += 1
             else:  # ROUND_CLOSE
-                stats = report.rounds[event.round_index]
+                stats = rounds[event.round_index]
                 stats.close_seconds = event.time
                 stats.skipped = stats.reported == 0 and stats.stale == 0
                 if event.round_index + 1 >= self.num_rounds:
                     break
-                open_round(event.round_index + 1, event.time)
+                open_round(event.round_index + 1)
                 inflight = int(busy.sum())
                 report.peak_inflight = max(report.peak_inflight, inflight)
         report.events += events
@@ -446,6 +547,8 @@ class PopulationSimulator:
     ):
         if num_clients < 1:
             raise ValueError(f"need at least one client, got {num_clients}")
+        if not (math.isfinite(slack) and slack > 0):
+            raise ValueError(f"slack must be finite and positive, got {slack}")
         self.num_clients = num_clients
         self.model = create_population(population)
         self.seed = seed
@@ -471,9 +574,12 @@ class PopulationSimulator:
         if deadline == "auto":
             deadline_seconds = slack * (train_seconds + upload_seconds)
         else:
-            deadline_seconds = np.full(num_clients, float(deadline))
-            if deadline_seconds[0] <= 0:
-                raise ValueError(f"deadline must be positive, got {deadline}")
+            deadline = float(deadline)
+            if not (math.isfinite(deadline) and deadline > 0):
+                raise ValueError(
+                    f"deadline must be finite and positive, got {deadline}"
+                )
+            deadline_seconds = np.full(num_clients, deadline)
         self.schedule = self.model.schedule(num_clients, seed=seed)
         self.loop = AsyncRoundLoop(
             self.schedule,
@@ -494,6 +600,8 @@ class PopulationSimulator:
             shards=len(self.loop.shard_deadline),
             max_staleness=self.loop.max_staleness,
         )
+        # wall_seconds feeds the clients/s that `repro simulate` and
+        # fig-eventsim print with tracing off, so it cannot come from a span
         started = time.perf_counter()
         with _obs_trace.TRACER.span(
             "simulate", clients=self.num_clients,

@@ -227,6 +227,16 @@ class TestSimulate:
         assert code == 2
         assert "deadline" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("deadline", ["inf", "nan"])
+    def test_simulate_rejects_non_finite_deadline(self, capsys, deadline):
+        # an infinite deadline never closes a round: under churn the run
+        # would never end
+        code = main(["simulate", "--clients", "100",
+                     "--population", "fixed,churn=10/20",
+                     "--deadline", deadline, "--rounds", "2"])
+        assert code == 2
+        assert "deadline" in capsys.readouterr().err
+
 
 class TestPopulationFlags:
     def test_run_with_population_and_max_staleness(self, capsys):

@@ -11,6 +11,8 @@ families and participation policies.
 
 from __future__ import annotations
 
+import heapq
+
 import numpy as np
 import pytest
 
@@ -28,9 +30,11 @@ from repro.federated import (
     FederatedTrainer,
     PopulationSimulator,
     SimReport,
+    SimRound,
     TrainConfig,
     create_trainer,
 )
+from repro.federated.simulation import _JITTER
 
 
 class TestEventQueue:
@@ -56,6 +60,36 @@ class TestEventQueue:
         queue.push(1.0, EventKind.ARRIVAL)
         assert queue.peek().time == 1.0
         assert len(queue) == 1 and bool(queue)
+
+    def test_runs_pop_where_single_pushes_would(self):
+        """A run takes the seqs its entries would have had as single pushes,
+        so it interleaves with the heap by (time, seq), ties included."""
+        rng = np.random.default_rng(0)
+        # few distinct times: most pops are exact ties across stores
+        blocks = [rng.integers(0, 4, size).astype(float)
+                  for size in (5, 9000, 1, 7)]
+        runs, singles = EventQueue(), EventQueue()
+        for index, times in enumerate(blocks):
+            clients = np.arange(len(times)) + 100 * index
+            if index % 2:
+                runs.push_run(times, EventKind.UPLOAD_COMPLETE, clients,
+                              round_index=index, generations=clients % 3)
+            else:
+                for t, cid in zip(times.tolist(), clients.tolist()):
+                    runs.push(t, EventKind.DEPARTURE, client=cid,
+                              round_index=index)
+            for t, cid in zip(times.tolist(), clients.tolist()):
+                kind = (EventKind.UPLOAD_COMPLETE if index % 2
+                        else EventKind.DEPARTURE)
+                singles.push(t, kind, client=cid, round_index=index,
+                             generation=cid % 3 if index % 2 else -1)
+        assert len(runs) == len(singles) == runs.pushed == 9013
+        popped = 0
+        while runs:
+            assert runs.peek() == singles.peek()
+            assert runs.pop() == singles.pop()
+            popped += 1
+        assert popped == 9013 and not singles and runs.peek() is None
 
 
 class TestPopulationSpecs:
@@ -85,6 +119,12 @@ class TestPopulationSpecs:
         "uniform:0",            # empty horizon
         "pareto:1.5,churn=300", # malformed churn pair
         "pareto:1.5,rate=2",    # unknown option
+        "fixed,churn=nan/5",    # NaN passes a <= 0 check
+        "fixed,churn=10/inf",
+        "pareto:nan",
+        "lognormal:nan",
+        "pareto:1.5,scale=nan",
+        "uniform:inf",          # overflows the uniform draw
     ])
     def test_bad_specs_rejected(self, bad):
         with pytest.raises((KeyError, ValueError)):
@@ -133,14 +173,196 @@ def _uniform_loop(n, train, upload, deadline, **kwargs):
     )
 
 
+def _empty_report(loop):
+    return SimReport(
+        num_clients=loop.schedule.num_clients, population="test",
+        shards=len(loop.shard_deadline), max_staleness=loop.max_staleness,
+    )
+
+
+def reference_run(loop, report):
+    """The round loop with one heap entry per event, on plain ``heapq``.
+
+    Every scheduled client queues a train and an upload completion, every
+    first-wave departure is pushed one by one, and the train completions
+    pop (and count) like any other event.  ``AsyncRoundLoop.run`` must
+    reproduce its report exactly.
+    """
+    schedule = loop.schedule
+    n = schedule.num_clients
+    heap = []
+    seq = 0
+
+    def push(time, kind, client=-1, round_index=-1, generation=-1):
+        nonlocal seq
+        heapq.heappush(heap, (time, seq, int(kind), client, round_index,
+                              generation))
+        seq += 1
+
+    present = np.zeros(n, dtype=bool)
+    busy = np.zeros(n, dtype=bool)
+    generation = np.zeros(n, dtype=np.int64)
+    shard_round = [0] * len(loop.shard_deadline)
+    hist = report.staleness_hist
+    present_count = inflight = events = 0
+    first_wave = iter(np.argsort(schedule.arrival, kind="stable").tolist())
+    head = next(first_wave, None)
+
+    def inject_arrivals(now):
+        nonlocal head, present_count
+        injected = 0
+        while head is not None and schedule.arrival[head] <= now:
+            present[head] = True
+            present_count += 1
+            injected += 1
+            if schedule.has_churn:
+                push(schedule.departure_after(head, schedule.arrival[head]),
+                     EventKind.DEPARTURE, client=head)
+            head = next(first_wave, None)
+        report.peak_present = max(report.peak_present, present_count)
+        return injected
+
+    def open_round(round_index, now):
+        nonlocal events
+        events += inject_arrivals(now)
+        ids = np.flatnonzero(present & ~busy)
+        report.rounds.append(SimRound(
+            round_index=round_index, open_seconds=now,
+            active=present_count, planned=len(ids),
+        ))
+        if len(ids):
+            rng = np.random.default_rng(np.random.SeedSequence(
+                entropy=loop.seed, spawn_key=(_JITTER, round_index)
+            ))
+            jitter = np.exp(loop.jitter_sigma * rng.standard_normal(len(ids))
+                            - 0.5 * loop.jitter_sigma**2)
+            train_end = now + loop.train_seconds[ids] * jitter
+            upload_end = now + (
+                loop.train_seconds[ids] + loop.upload_seconds[ids]
+            ) * jitter
+            busy[ids] = True
+            for cid, t_end, u_end, gen in zip(
+                ids.tolist(), train_end.tolist(), upload_end.tolist(),
+                generation[ids].tolist(),
+            ):
+                push(t_end, EventKind.TRAIN_COMPLETE, cid, round_index, gen)
+                push(u_end, EventKind.UPLOAD_COMPLETE, cid, round_index, gen)
+        for shard, cutoff in enumerate(loop.shard_deadline):
+            push(now + cutoff, EventKind.SHARD_CLOSE, client=shard,
+                 round_index=round_index)
+        push(now + loop.round_deadline, EventKind.ROUND_CLOSE,
+             round_index=round_index)
+
+    open_round(0, 0.0)
+    inflight = int(busy.sum())
+    report.peak_inflight = max(report.peak_inflight, inflight)
+    while True:
+        time, _, kind, cid, round_index, gen = heapq.heappop(heap)
+        events += 1
+        if kind == EventKind.UPLOAD_COMPLETE:
+            if gen != generation[cid]:
+                continue
+            busy[cid] = False
+            inflight -= 1
+            late = shard_round[loop.shard_of[cid]] - round_index
+            if late <= loop.max_staleness:
+                hist[late] = hist.get(late, 0) + 1
+                if late == 0:
+                    report.rounds[round_index].reported += 1
+                else:
+                    report.rounds[-1].stale += 1
+            else:
+                push(time, EventKind.EVICTION, client=cid,
+                     round_index=round_index)
+        elif kind == EventKind.TRAIN_COMPLETE:
+            pass
+        elif kind == EventKind.ARRIVAL:
+            present[cid] = True
+            present_count += 1
+            report.peak_present = max(report.peak_present, present_count)
+            if schedule.has_churn:
+                push(schedule.departure_after(cid, time),
+                     EventKind.DEPARTURE, client=cid)
+        elif kind == EventKind.DEPARTURE:
+            present[cid] = False
+            present_count -= 1
+            generation[cid] += 1
+            if busy[cid]:
+                busy[cid] = False
+                inflight -= 1
+                report.rounds[-1].lost += 1
+            push(schedule.return_after(cid, time), EventKind.ARRIVAL,
+                 client=cid)
+        elif kind == EventKind.SHARD_CLOSE:
+            shard_round[cid] = round_index + 1
+        elif kind == EventKind.EVICTION:
+            report.rounds[-1].evicted += 1
+        else:
+            stats = report.rounds[round_index]
+            stats.close_seconds = time
+            stats.skipped = stats.reported == 0 and stats.stale == 0
+            if round_index + 1 >= loop.num_rounds:
+                break
+            open_round(round_index + 1, time)
+            inflight = int(busy.sum())
+            report.peak_inflight = max(report.peak_inflight, inflight)
+    report.events += events
+    return report
+
+
+def assert_matches_reference(loop):
+    report = loop.run(_empty_report(loop))
+    assert report == reference_run(loop, _empty_report(loop))
+    return report
+
+
+class TestAgainstHeapReference:
+    """The sorted-run loop reproduces the heap-per-event loop exactly: every
+    ``SimRound`` field, the staleness histogram, the event count and both
+    peaks."""
+
+    @pytest.mark.parametrize("jitter", [0.0, 0.4])
+    @pytest.mark.parametrize("max_staleness", [1, 2, 3])
+    @pytest.mark.parametrize("shards", [1, 3, 16])
+    @pytest.mark.parametrize("population", [
+        "fixed",
+        "fixed,churn=3/4",
+        "pareto:1.5,scale=0.01,churn=4/6",
+        "uniform:6,churn=3/5",
+    ])
+    def test_reports_equal(self, population, shards, max_staleness, jitter):
+        # deadlines below each client's own round time make shard-local
+        # stragglers, stale uploads and (with jitter) evictions; churn
+        # loses uploads in flight
+        sim = PopulationSimulator(
+            300, population, num_rounds=6, shards=shards,
+            max_staleness=max_staleness, slack=0.8, seed=3,
+            jitter_sigma=jitter,
+        )
+        report = assert_matches_reference(sim.loop)
+        assert report.events > report.scheduled
+
+    def test_uploads_on_their_shard_cutoff_are_fresh(self):
+        """Each upload lands exactly on its shard's cut-off and was queued
+        before it, so it is fresh: a tie the run must win over the heap."""
+        report = assert_matches_reference(
+            _uniform_loop(10, 1.0, 1.0, 2.0, shards=2, num_rounds=3)
+        )
+        assert report.staleness_hist == {0: 30}
+
+    def test_train_end_on_the_final_close_counts(self):
+        """A training leg that ends exactly at the final close counts as an
+        event, as its queued completion would have popped first."""
+        report = assert_matches_reference(
+            _uniform_loop(4, 2.0, 1.0, 2.0, num_rounds=1)
+        )
+        # 4 arrivals, 4 train ends, 1 shard close, 1 round close
+        assert report.events == 10
+
+
 class TestAsyncRoundLoop:
     def run(self, loop):
-        report = SimReport(
-            num_clients=loop.schedule.num_clients, population="test",
-            shards=len(loop.shard_deadline),
-            max_staleness=loop.max_staleness,
-        )
-        return loop.run(report)
+        return loop.run(_empty_report(loop))
 
     def test_everyone_fresh_under_generous_deadline(self):
         report = self.run(
@@ -229,6 +451,36 @@ class TestAsyncRoundLoop:
             AsyncRoundLoop(
                 schedule, np.ones(4), np.ones(4), np.ones(4), max_staleness=0
             )
+
+    @pytest.mark.parametrize("bad", [np.inf, np.nan, -1.0])
+    def test_rejects_out_of_range_durations(self, bad):
+        schedule = create_population("fixed").schedule(2, seed=0)
+        ok, broken = np.ones(2), np.array([1.0, bad])
+        with pytest.raises(ValueError, match="train"):
+            AsyncRoundLoop(schedule, broken, ok, ok)
+        with pytest.raises(ValueError, match="upload"):
+            AsyncRoundLoop(schedule, ok, broken, ok)
+
+    @pytest.mark.parametrize("bad", [np.inf, np.nan, 0.0, -1.0])
+    def test_rejects_out_of_range_deadlines(self, bad):
+        schedule = create_population("fixed").schedule(2, seed=0)
+        with pytest.raises(ValueError, match="deadline"):
+            AsyncRoundLoop(schedule, np.ones(2), np.ones(2),
+                           np.array([1.0, bad]))
+
+    @pytest.mark.parametrize("kwargs", [
+        {"deadline": float("inf")},  # never closes a round: endless churn
+        {"deadline": float("nan")},
+        {"deadline": 0.0},
+        {"slack": -1.0},             # would run virtual time backwards
+        {"slack": 0.0},              # would close every round at its open
+        {"slack": float("nan")},
+        {"slack": float("inf")},
+    ])
+    def test_simulator_rejects_bad_deadline_and_slack(self, kwargs):
+        with pytest.raises(ValueError):
+            PopulationSimulator(100, "fixed,churn=10/20", num_rounds=2,
+                                **kwargs)
 
 
 @pytest.fixture
