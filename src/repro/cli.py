@@ -252,10 +252,10 @@ def _build_parser() -> argparse.ArgumentParser:
                          help="listening port (0 binds an ephemeral port; "
                               "the bound address is printed at startup)")
     serve_p.add_argument("--shards", type=int, default=1,
-                         help="shard aggregation across this many segment "
-                              "groups; eligible segment partials are "
-                              "accumulated on the workers that retained the "
-                              "round's updates")
+                         help="partition each round's server-side "
+                              "aggregation across this many streaming shard "
+                              "accumulators (identical global states, as "
+                              "in `repro run`)")
     serve_p.add_argument("--participation", default=None,
                          help="participation policy spec (see `repro run`)")
     serve_p.add_argument("--transport", default=None,

@@ -6,8 +6,9 @@ socket-connected worker processes over the framed protocol in
 ordinary :class:`~repro.federated.engine.RoundEngine` contract, so
 trainers, participation policies, transports and metrics work unchanged —
 and bit-identically to the serial engine — while clients stay pinned to
-their worker between rounds (sticky affinity) and shard aggregation pulls
-segment partials from the workers that retained the round's updates.
+their worker between rounds (sticky affinity).  Workers only train: every
+update comes back whole in its RESULT frame, and the server aggregates it,
+sharded or not, exactly as the serial engine would.
 
 Start a service with ``repro serve`` and attach workers with
 ``repro worker --connect HOST:PORT`` (see the README's Serving section),
@@ -27,7 +28,7 @@ from .rpc import (
     RpcError,
     connect_with_retry,
 )
-from .server import FederationServer, RemoteShardedAggregator
+from .server import FederationServer
 from .worker import ClientRef, WorkerSession, run_worker
 
 __all__ = [
@@ -40,7 +41,6 @@ __all__ = [
     "MessageType",
     "ProtocolError",
     "RemoteError",
-    "RemoteShardedAggregator",
     "RpcError",
     "ServeStateHandle",
     "SocketRoundEngine",

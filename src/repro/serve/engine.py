@@ -56,7 +56,6 @@ import numpy as np
 
 from ..federated.base import FederatedClient
 from ..federated.engine import RoundEngine, StateHandle
-from ..federated.server import FedAvgServer, StreamingAccumulator
 from ..obs import metrics as _obs_metrics
 from ..obs import trace as _obs_trace
 from ..utils.serialization import encode_state
@@ -135,8 +134,6 @@ class _WorkerLink:
         self.alive = True
         #: Client ids whose authoritative replica lives on this worker.
         self.cached: set[int] = set()
-        #: Client ids whose latest dense update state the worker retained.
-        self.retained: set[int] = set()
         #: Affinity load counter (clients assigned since the last rebalance).
         self.assigned = 0
 
@@ -163,9 +160,9 @@ class SocketRoundEngine(RoundEngine):
         spawn_workers: bool = True,
         phase_timeout: float = PHASE_TIMEOUT,
     ):
-        self.max_workers = max_workers or os.cpu_count() or 1
-        if self.max_workers < 1:
+        if max_workers is not None and max_workers < 1:
             raise ValueError(f"need at least one worker, got {max_workers}")
+        self.max_workers = max_workers or os.cpu_count() or 1
         self.data_factory = data_factory
         self.host = host
         self.port = port
@@ -175,7 +172,6 @@ class SocketRoundEngine(RoundEngine):
         self._links: list[_WorkerLink] = []
         self._processes: list[multiprocessing.Process] = []
         self._affinity: dict[int, _WorkerLink] = {}
-        self._origin: dict[int, _WorkerLink] = {}
         self._next_worker_id = 0
         self._probe_path: str | None = None
         self._probe_token: str | None = None
@@ -314,12 +310,7 @@ class SocketRoundEngine(RoundEngine):
             cid for cid, owner in self._affinity.items() if owner is link
         ]:
             del self._affinity[client_id]
-        for client_id in [
-            cid for cid, owner in self._origin.items() if owner is link
-        ]:
-            del self._origin[client_id]
         link.cached = set()
-        link.retained = set()
 
     # ------------------------------------------------------------------
     # the RoundEngine contract
@@ -362,7 +353,6 @@ class SocketRoundEngine(RoundEngine):
             return []
         self._ensure_workers()
         live = self._live()
-        self._origin = {}
         # injected into every PHASE payload so worker-side spans stitch
         # under the caller's open (round) span; None when tracing is off
         span_ctx = _obs_trace.current_context()
@@ -402,9 +392,7 @@ class SocketRoundEngine(RoundEngine):
         phase_error: RemoteError | None = None
         for link in pending:
             try:
-                _, (entries, retained_ids, telemetry) = link.conn.expect(
-                    MessageType.RESULT
-                )
+                _, (entries, telemetry) = link.conn.expect(MessageType.RESULT)
             except RemoteError as exc:
                 # a phase bug, not a transport failure: keep draining the
                 # other workers so the stream stays in sync, then re-raise
@@ -416,9 +404,6 @@ class SocketRoundEngine(RoundEngine):
             if telemetry is not None:
                 _obs_trace.TRACER.absorb(telemetry[0])
                 _obs_metrics.METRICS.merge(telemetry[1])
-            link.retained = set(retained_ids)
-            for client_id in retained_ids:
-                self._origin[client_id] = link
             for index, result in entries:
                 results[index] = result
         if phase_error is not None:
@@ -438,10 +423,8 @@ class SocketRoundEngine(RoundEngine):
                 self._mark_dead(link)
                 continue
             link.cached = set()
-            link.retained = set()
             link.assigned = 0
         self._affinity = {}
-        self._origin = {}
 
     def share_state(self, state: Mapping[str, np.ndarray]) -> StateHandle:
         payload = encode_state(dict(state))
@@ -456,16 +439,8 @@ class SocketRoundEngine(RoundEngine):
                     self._mark_dead(link)
         return handle
 
-    def sharded_aggregator(self, server: FedAvgServer, shards: int):
-        # the workers already hold the round's dense update states: segment
-        # partials are accumulated remotely and only float64 sums cross the
-        # wire (fixed merge tree — still bit-identical)
-        from .server import RemoteShardedAggregator
-
-        return RemoteShardedAggregator(server, shards, socket_engine=self)
-
     # ------------------------------------------------------------------
-    # end-of-task sync and remote segment partials
+    # end-of-task sync
     # ------------------------------------------------------------------
     def collect_clients(self) -> list[FederatedClient]:
         """Ship every worker's cached client replicas back (authoritative)."""
@@ -482,47 +457,6 @@ class SocketRoundEngine(RoundEngine):
             collected.extend(clients)
         return collected
 
-    def origin_link(self, client_id: int) -> _WorkerLink | None:
-        """The live worker retaining ``client_id``'s latest update, if any."""
-        link = self._origin.get(client_id)
-        if link is not None and link.alive and client_id in link.retained:
-            return link
-        return None
-
-    def fetch_partials(
-        self, per_link: dict[_WorkerLink, list]
-    ) -> dict[int, StreamingAccumulator]:
-        """Request segment partial sums from workers; best-effort.
-
-        Sends every worker its batch of ``(segment_index, [(client_id,
-        coeff), ...])`` requests first, then collects.  Segments a worker
-        fails to serve (death or a missing retained state) are simply
-        absent from the result — the caller recomputes them locally from
-        the updates it already holds.
-        """
-        sent: list[_WorkerLink] = []
-        for link, requests in per_link.items():
-            try:
-                link.conn.send(
-                    MessageType.PARTIAL, pickle.dumps(requests, protocol=5)
-                )
-            except RpcError:
-                self._mark_dead(link)
-                continue
-            sent.append(link)
-        partials: dict[int, StreamingAccumulator] = {}
-        for link in sent:
-            try:
-                _, served = link.conn.expect(MessageType.PARTIAL_RESULT)
-            except RemoteError:
-                continue
-            except RpcError:
-                self._mark_dead(link)
-                continue
-            for segment_index, accumulator in served:
-                partials[segment_index] = accumulator
-        return partials
-
     # ------------------------------------------------------------------
     # teardown
     # ------------------------------------------------------------------
@@ -537,7 +471,6 @@ class SocketRoundEngine(RoundEngine):
             link.conn.close()
         self._links = []
         self._affinity = {}
-        self._origin = {}
         for process in self._processes:
             process.join(timeout=5.0)
             if process.is_alive():  # pragma: no cover - stuck worker

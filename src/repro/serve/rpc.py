@@ -3,7 +3,7 @@
 The serve subsystem speaks a minimal length-prefixed protocol over TCP:
 every frame is one message-type byte followed by a big-endian ``u32``
 payload length and the payload bytes.  Control messages (phase dispatch,
-collected results, partial-sum requests) are pickled with protocol 5;
+collected results, errors) are pickled with protocol 5;
 state broadcasts carry the existing wire-format bytes produced by
 :func:`repro.utils.serialization.encode_state`, so remote workers decode
 exactly what local workers read from the tmpfs broadcast file.
@@ -35,7 +35,8 @@ MAGIC = b"RSRV"
 #: Bumped whenever the frame layout or a message payload changes shape.
 #: v2: PHASE payloads carry a span context, RESULT payloads a telemetry
 #: tail (worker spans + metrics delta) — see :mod:`repro.obs`.
-PROTOCOL_VERSION = 2
+#: v3: RESULT payloads are ``(results, telemetry)``; type bytes 9-10 retired.
+PROTOCOL_VERSION = 3
 
 # Cached instrument handles (always-on; ``drain`` zeroes them in place).
 _FRAMES_SENT = _obs_metrics.METRICS.counter("rpc.frames_sent")
@@ -62,12 +63,10 @@ class MessageType(enum.IntEnum):
     WELCOME = 2          # server -> worker: worker id, probe, data factory
     READY = 3            # worker -> server: handshake complete, local flag
     PHASE = 4            # server -> worker: run a phase over assigned items
-    RESULT = 5           # worker -> server: phase results (+ retained ids)
+    RESULT = 5           # worker -> server: phase results (+ telemetry)
     STATE = 6            # server -> worker: framed global-state broadcast
     RESET = 7            # server -> worker: task boundary, drop caches
     COLLECT = 8          # server -> worker: ship cached client replicas back
-    PARTIAL = 9          # server -> worker: segment partial-sum requests
-    PARTIAL_RESULT = 10  # worker -> server: accumulated segment partials
     ERROR = 11           # either side: remote exception (payload: message)
     BYE = 12             # server -> worker: shut down cleanly
 
@@ -130,15 +129,9 @@ class Connection:
                 f"frame payload of {len(payload)} bytes exceeds the "
                 f"{MAX_FRAME_BYTES}-byte protocol limit"
             )
-        tracer = _obs_trace.TRACER
         try:
-            if tracer.enabled:
-                with tracer.span("rpc_frame", dir="send", kind=kind.name,
-                                 bytes=len(payload)):
-                    self.sock.sendall(
-                        _HEADER.pack(int(kind), len(payload)) + payload
-                    )
-            else:
+            with _obs_trace.TRACER.span("rpc_frame", dir="send",
+                                        kind=kind.name, bytes=len(payload)):
                 self.sock.sendall(
                     _HEADER.pack(int(kind), len(payload)) + payload
                 )
@@ -159,14 +152,10 @@ class Connection:
                     f"frame announces {length} payload bytes, beyond the "
                     f"{MAX_FRAME_BYTES}-byte protocol limit"
                 )
-            tracer = _obs_trace.TRACER
-            if tracer.enabled:
-                # timed from after the header so the span measures the
-                # payload transfer, not the idle wait for a frame to start
-                with tracer.span("rpc_frame", dir="recv", kind=kind_byte,
-                                 bytes=length):
-                    payload = _recv_exact(self.sock, length)
-            else:
+            # timed from after the header so the span measures the
+            # payload transfer, not the idle wait for a frame to start
+            with _obs_trace.TRACER.span("rpc_frame", dir="recv",
+                                        kind=kind_byte, bytes=length):
                 payload = _recv_exact(self.sock, length)
         except socket.timeout as exc:
             raise RpcError("read timed out waiting for a frame") from exc

@@ -1,4 +1,4 @@
-"""The long-lived federation service and its remote shard aggregator.
+"""The long-lived federation service.
 
 :class:`FederationServer` owns one training recipe (method, dataset spec,
 preset scale), a listening :class:`~repro.serve.engine.SocketRoundEngine`
@@ -8,136 +8,25 @@ at the next round boundary, and a worker that dies mid-round only loses its
 own clients for that round — the participation policy replans with whoever
 reports, and the round is recorded with its ``lost`` count.
 
-:class:`RemoteShardedAggregator` extends the
-:class:`~repro.federated.sharding.ShardedAggregator` merge tree across the
-socket: a canonical merge segment whose updates were all produced this
-round by one live worker is accumulated *on that worker* (over the dense
-update states it retained from the train phase) and only the float64
-partial sums cross the wire.  Everything else — stale straggler segments,
-segments spanning workers, segments whose worker died — is computed
-locally from the update states the server already holds.  The merge tree,
-the weights and the fold order are exactly the base aggregator's, so the
-result stays bit-identical to the unsharded server whatever mix of remote
-and local partials a round ends up with.
+Aggregation happens here, on the server: every RESULT frame already carries
+each :class:`~repro.federated.protocol.ClientUpdate` with its full state,
+so ``shards`` > 1 folds the round through the same in-process
+:class:`~repro.federated.sharding.ShardedAggregator` the serial engine
+uses, bit-identical to the unsharded server.
 """
 
 from __future__ import annotations
-
-from typing import Sequence
 
 import numpy as np
 
 from ..data import create_scenario, get_spec
 from ..data.scenario import ClientDataFactory
 from ..experiments.config import get_preset
-from ..federated.protocol import ClientUpdate
 from ..federated.registry import create_trainer
-from ..federated.server import MERGE_SEGMENTS, StreamingAccumulator, shard_slices
-from ..federated.sharding import ShardedAggregator
 from ..metrics.tracker import RoundRecord, RunResult
-from ..obs import metrics as _obs_metrics
 from .engine import SocketRoundEngine
 
-__all__ = ["FederationServer", "RemoteShardedAggregator"]
-
-
-class RemoteShardedAggregator(ShardedAggregator):
-    """Shard aggregation whose segment partials come from remote workers."""
-
-    def __init__(self, server, num_shards: int, socket_engine: SocketRoundEngine):
-        super().__init__(server, num_shards, engine=None)
-        self.socket_engine = socket_engine
-        #: Segments served remotely in the most recent round.
-        self.last_remote_segments = 0
-        #: Reason -> segment count for the most recent round's demotions
-        #: (segments folded locally instead of on a worker).
-        self.last_demotions: dict[str, int] = {}
-
-    def aggregate_updates(
-        self,
-        updates: Sequence[ClientUpdate],
-        staleness_discount: float = 0.5,
-    ) -> dict[str, np.ndarray]:
-        updates = list(updates)
-        if not updates:
-            raise ValueError(
-                "cannot aggregate an empty round: zero reported clients "
-                "(the trainer records empty rounds as skipped instead)"
-            )
-        weights = [u.effective_weight(staleness_discount) for u in updates]
-        total = float(sum(weights))
-        if total <= 0:
-            raise ValueError("aggregation weights must sum to a positive value")
-        segments = shard_slices(len(updates), min(len(updates), MERGE_SEGMENTS))
-        groups = shard_slices(len(segments), min(self.num_shards, len(segments)))
-        base = self.server.global_state
-        engine = self.socket_engine
-
-        # a segment is remote-eligible when every update in it is fresh and
-        # was produced this round by the same live worker (which therefore
-        # retained the dense states the partial sum needs); anything else
-        # is demoted to local folding, classified by why
-        per_link: dict = {}
-        requested: set[int] = set()
-        demoted: dict[str, int] = {}
-        for seg_index, segment in enumerate(segments):
-            links = set()
-            reason = None
-            for index in range(segment.start, segment.stop):
-                update = updates[index]
-                if update.staleness != 0:
-                    reason = "stale"
-                    break
-                link = engine.origin_link(update.client_id)
-                if link is None:
-                    reason = "orphaned"
-                    break
-                links.add(link)
-            if reason is None and len(links) > 1:
-                reason = "split"
-            if reason is not None:
-                demoted[reason] = demoted.get(reason, 0) + 1
-                continue
-            requested.add(seg_index)
-            per_link.setdefault(links.pop(), []).append((
-                seg_index,
-                [
-                    (updates[index].client_id, weights[index] / total)
-                    for index in range(segment.start, segment.stop)
-                ],
-            ))
-        remote = engine.fetch_partials(per_link) if per_link else {}
-        failed = len(requested) - len(remote)
-        if failed:
-            demoted["failed"] = demoted.get("failed", 0) + failed
-        partials: list[StreamingAccumulator] = []
-        for seg_index, segment in enumerate(segments):
-            accumulator = remote.get(seg_index)
-            if accumulator is None:
-                accumulator = StreamingAccumulator(base=base)
-                for index in range(segment.start, segment.stop):
-                    accumulator.add(updates[index].state, weights[index] / total)
-            partials.append(accumulator)
-        self.last_remote_segments = len(remote)
-        self.last_demotions = demoted
-        _obs_metrics.METRICS.counter("serve.segments_remote").inc(len(remote))
-        if demoted:
-            for reason, count in demoted.items():
-                _obs_metrics.METRICS.counter(
-                    f"serve.segments_demoted_{reason}"
-                ).inc(count)
-            _obs_metrics.METRICS.warn(
-                "serve.segments_demoted",
-                f"{sum(demoted.values())} of {len(segments)} merge segments "
-                f"demoted to local folding ({demoted})",
-                amount=sum(demoted.values()),
-                **demoted,
-            )
-        self.last_shard_counts = tuple(
-            sum(seg.stop - seg.start for seg in segments[group])
-            for group in groups
-        )
-        return self.server.install_aggregate(self.merge(partials))
+__all__ = ["FederationServer"]
 
 
 class FederationServer:

@@ -11,14 +11,13 @@ the connection drops:
   :class:`ClientRef` stub instead — momentum buffers, RNG state and method
   state stay put.  A replica that arrives without its task data gets it
   rebuilt once, on adoption, from the WELCOME's pickled data factory.
+  Every result, update states included, goes back whole in the RESULT
+  frame; the worker keeps none of them, and the server aggregates.
 * **STATE** — a framed global-state broadcast for remote workers; local
   workers read the tmpfs file instead and never receive this frame.  Both
   land in one broadcast store (:func:`resolve_broadcast`).
-* **PARTIAL** — accumulate segment partial sums over the client updates
-  retained from the round's train phase, so shard aggregation ships one
-  float64 partial per segment instead of every client state.
-* **RESET** — task boundary: drop client replicas, retained updates,
-  broadcasts and the materialized task-data cache.
+* **RESET** — task boundary: drop client replicas, broadcasts and the
+  materialized task-data cache.
 * **COLLECT** — ship the cached client replicas back (without
   factory-rebuilt task data) so the trainer can run end-of-task evaluation
   on authoritative state.
@@ -34,11 +33,7 @@ import pickle
 import traceback
 from typing import Sequence
 
-import numpy as np
-
 from ..federated.base import FederatedClient
-from ..federated.protocol import ClientUpdate
-from ..federated.server import StreamingAccumulator
 from ..obs import metrics as _obs_metrics
 from ..obs import trace as _obs_trace
 from ..utils.serialization import decode_state
@@ -94,7 +89,11 @@ def dumps_without_data(obj, clients: Sequence[FederatedClient]) -> bytes:
 #: Decoded broadcasts by token, newest last, whether framed or read from
 #: tmpfs.  Two can be live at once (the round's receive broadcast plus the
 #: transport's shared dense base for the next train phase), so pruning
-#: keeps the two most recent.
+#: keeps the two most recent.  Process-global rather than a
+#: :class:`WorkerSession` attribute because its reader cannot reach the
+#: session: ``ServeStateHandle.resolve`` runs inside a phase callable that
+#: ``_handle_phase`` unpickles from a PHASE payload.  A worker process runs
+#: one session, so the store is that session's.
 _BROADCASTS: dict[str, dict] = {}
 _BROADCAST_KEEP = 2
 
@@ -127,10 +126,6 @@ def resolve_broadcast(token: str, path: str) -> dict:
     return state
 
 
-def _dense_state(state) -> bool:
-    return all(isinstance(value, np.ndarray) for value in state.values())
-
-
 class WorkerSession:
     """One connected worker's frame loop and caches."""
 
@@ -144,8 +139,6 @@ class WorkerSession:
         self._task_data: dict | None = None
         #: Persistent client replicas, by client id (the affinity cache).
         self.clients: dict[int, FederatedClient] = {}
-        #: Dense update states retained from the latest PHASE, by client id.
-        self.retained: dict[int, dict] = {}
         #: Session tracer, created on the first traced PHASE and kept so
         #: span ids stay unique across this worker's phases.
         self._tracer: _obs_trace.Tracer | None = None
@@ -208,7 +201,6 @@ class WorkerSession:
     # -- frame handlers ------------------------------------------------
     def _handle_phase(self, payload: bytes) -> None:
         fn, entries, span_ctx = pickle.loads(payload)
-        self.retained = {}
         resolved = [(index, self._replica(item)) for index, item in entries]
         tracer = None
         if span_ctx is not None:
@@ -224,44 +216,19 @@ class WorkerSession:
             _obs_trace.set_tracer(_obs_trace.NullTracer())
             self._tracer.drain()
             self._tracing = False
-        results = []
-        for index, item in resolved:
-            result = fn(item)
-            if isinstance(result, ClientUpdate) and _dense_state(result.state):
-                # kept for remote segment partials (PARTIAL frames)
-                self.retained[result.client_id] = result.state
-            results.append((index, result))
+        results = [(index, fn(item)) for index, item in resolved]
         telemetry = None if tracer is None else (
             tracer.drain(), _obs_metrics.METRICS.drain()
         )
-        self.conn.send_obj(
-            MessageType.RESULT, (results, tuple(self.retained), telemetry)
-        )
+        self.conn.send_obj(MessageType.RESULT, (results, telemetry))
 
     def _handle_state(self, payload: bytes) -> None:
         token, wire_bytes = pickle.loads(payload)
         _store_broadcast(token, decode_state(wire_bytes))
         _FRAMED_DECODES.inc()
 
-    def _handle_partial(self, payload: bytes) -> None:
-        requests = pickle.loads(payload)
-        partials = []
-        for seg_index, terms in requests:
-            accumulator = StreamingAccumulator(base=None)
-            for client_id, coeff in terms:
-                state = self.retained.get(client_id)
-                if state is None:
-                    raise KeyError(
-                        f"no retained update for client {client_id}; cannot "
-                        f"serve segment {seg_index} remotely"
-                    )
-                accumulator.add(state, coeff)
-            partials.append((seg_index, accumulator))
-        self.conn.send_obj(MessageType.PARTIAL_RESULT, partials)
-
     def _handle_reset(self) -> None:
         self.clients = {}
-        self.retained = {}
         _BROADCASTS.clear()
         # drop materialized task arrays; the factory rebuilds lazily
         self._task_data = None
@@ -286,8 +253,6 @@ class WorkerSession:
                     self._handle_phase(payload)
                 elif kind == MessageType.STATE:
                     self._handle_state(payload)
-                elif kind == MessageType.PARTIAL:
-                    self._handle_partial(payload)
                 elif kind == MessageType.RESET:
                     self._handle_reset()
                 elif kind == MessageType.COLLECT:
@@ -299,8 +264,8 @@ class WorkerSession:
             except ConnectionClosed:
                 return
             except Exception:
-                # report the failure and stay alive: the engine decides
-                # whether to re-raise (phase bugs) or fall back (partials)
+                # report the failure and stay alive: the engine re-raises
+                # it parent-side once every worker's RESULT is drained
                 self.conn.send_obj(
                     MessageType.ERROR, traceback.format_exc()
                 )

@@ -2,12 +2,13 @@
 
 The bit-identity suite is the subsystem's acceptance bar: socket rounds
 must reproduce serial rounds bit for bit across participation policies and
-transports, with shard aggregation pulling remote segment partials and
-with framed (``assume_remote``) state broadcasts.  The fault suite kills
-workers mid-round and between rounds and checks the service's survival
-contract: the round completes with the surviving clients, the lost count
-lands on the :class:`RoundRecord`, and reconnecting workers are admitted
-at the next round boundary.
+transports, with sharded aggregation folded on the server (over the same
+wire traffic as an unsharded round) and with framed (``assume_remote``)
+state broadcasts.  The fault suite kills workers mid-round and between
+rounds and checks the service's survival contract: the round completes
+with the surviving clients, the lost count lands on the
+:class:`RoundRecord`, and reconnecting workers are admitted at the next
+round boundary.
 """
 
 from __future__ import annotations
@@ -29,6 +30,8 @@ from repro.federated import (
     create_trainer,
 )
 from repro.federated.base import SGDClient
+from repro.federated.sharding import ShardedAggregator
+from repro.obs import METRICS
 from repro.serve import (
     MAGIC,
     PROTOCOL_VERSION,
@@ -38,7 +41,6 @@ from repro.serve import (
     MessageType,
     ProtocolError,
     RemoteError,
-    RemoteShardedAggregator,
     RpcError,
     SocketRoundEngine,
     connect_with_retry,
@@ -181,15 +183,20 @@ class TestSocketEngineApi:
             assert isinstance(engine, SocketRoundEngine)
             assert engine.max_workers == 2
             # the declared contract: server-coupled methods stay in
-            # process, and shard partials are folded on the workers
+            # process, and shards fold on the server, one after another
             assert engine.rejects("flcn") is not None
             assert engine.rejects("fedknow") is None
-            assert isinstance(
-                engine.sharded_aggregator(FedAvgServer(), 2),
-                RemoteShardedAggregator,
-            )
+            aggregator = engine.sharded_aggregator(FedAvgServer(), 2)
+            assert type(aggregator) is ShardedAggregator
+            assert aggregator.engine is None
         finally:
             engine.close()
+
+    @pytest.mark.parametrize("max_workers", [0, -1])
+    def test_rejects_fewer_than_one_worker(self, max_workers):
+        # None means one worker per CPU; an explicit count must be >= 1
+        with pytest.raises(ValueError, match="at least one worker"):
+            SocketRoundEngine(max_workers=max_workers)
 
     def test_map_preserves_order(self):
         engine = SocketRoundEngine(max_workers=2)
@@ -278,17 +285,14 @@ def run_with_engine(spec, config, method, engine, participation=None,
             key: value.copy()
             for key, value in trainer.server.global_state.items()
         }
-        remote_segments = getattr(
-            trainer.aggregator, "last_remote_segments", None
-        )
     finally:
         trainer.close()
-    return result, state, remote_segments
+    return result, state
 
 
 def assert_identical(reference, measured):
-    ref_result, ref_state, _ = reference
-    got_result, got_state, _ = measured
+    ref_result, ref_state = reference
+    got_result, got_state = measured
     assert np.array_equal(
         ref_result.accuracy_matrix, got_result.accuracy_matrix, equal_nan=True
     )
@@ -322,13 +326,24 @@ class TestSocketBitIdentity:
         )
         assert_identical(reference, socketed)
 
-    def test_sharded_aggregation_folds_partials_on_workers(self, spec, config):
-        ref_result, ref_state, _ = run_with_engine(
+    def test_sharded_socket_matches_serial(self, spec, config):
+        ref_result, ref_state = run_with_engine(
             spec, config, "fedavg", "serial"
         )
-        got_result, got_state, remote_segments = run_with_engine(
-            spec, config, "fedavg", "socket:2", shards=3
-        )
+
+        def received(shards):
+            """A socket run plus the frames and bytes the parent received."""
+            before = (METRICS.value("rpc.frames_received"),
+                      METRICS.value("rpc.bytes_received"))
+            run = run_with_engine(
+                spec, config, "fedavg", "socket:2", shards=shards
+            )
+            after = (METRICS.value("rpc.frames_received"),
+                     METRICS.value("rpc.bytes_received"))
+            return run, (after[0] - before[0], after[1] - before[1])
+
+        (got_result, got_state), sharded_wire = received(3)
+        _, unsharded_wire = received(1)
         # shard accounting lands on the records (so full record equality is
         # out by design); the model trajectory must still be bit-identical
         assert np.array_equal(
@@ -341,57 +356,9 @@ class TestSocketBitIdentity:
             assert ref_round.upload_bytes == got_round.upload_bytes
             assert ref_round.mean_loss == got_round.mean_loss
             assert got_round.shard_reported, "round ran unsharded"
-        # the last round's segments were genuinely served by workers
-        assert remote_segments is not None and remote_segments > 0
-
-
-class _NoWorkerEngine:
-    """A socket engine stand-in that knows no client and serves nothing."""
-
-    def origin_link(self, client_id):
-        return None
-
-    def fetch_partials(self, per_link):
-        return {}
-
-
-class TestRemoteAggregatorDemotions:
-    def test_demoted_segments_warn_through_registry(self):
-        """Every demoted merge segment is classified, counted on the
-        metrics registry, and surfaced as one structured warning — while
-        the aggregate stays bit-identical to the unsharded server."""
-        from repro.federated import ClientUpdate, FedAvgServer
-        from repro.obs import METRICS
-        from repro.serve.server import RemoteShardedAggregator
-
-        rng = np.random.default_rng(0)
-        updates = [
-            ClientUpdate(
-                client_id=i,
-                state={"w": rng.normal(size=(64,)).astype(np.float32)},
-                num_samples=10,
-            )
-            for i in range(4)
-        ]
-        updates[0].staleness = 1  # segment 0 demotes as stale
-        reference = FedAvgServer().aggregate_updates(updates)
-        aggregator = RemoteShardedAggregator(
-            FedAvgServer(), 2, _NoWorkerEngine()
-        )
-        before = METRICS.value("serve.segments_demoted")
-        result = aggregator.aggregate_updates(updates)
-        # one single-update segment per update: 1 stale + 3 orphaned
-        assert aggregator.last_remote_segments == 0
-        assert aggregator.last_demotions == {"stale": 1, "orphaned": 3}
-        assert METRICS.value("serve.segments_demoted") == before + 4
-        warning = next(
-            w for w in reversed(METRICS.warnings)
-            if w["counter"] == "serve.segments_demoted"
-        )
-        assert warning["stale"] == 1 and warning["orphaned"] == 3
-        assert "demoted to local folding" in warning["message"]
-        for key in reference:
-            assert np.array_equal(reference[key], result[key]), key
+        # workers only train: sharding adds no frame and no byte to what
+        # the parent receives
+        assert sharded_wire == unsharded_wire
 
 
 class TestRemoteWorkers:
@@ -446,8 +413,9 @@ class _DyingClient(SGDClient):
 
 
 class TestWorkerDeathMidRound:
+    @pytest.mark.parametrize("shards", [1, 2])
     def test_round_completes_and_records_lost_clients(
-        self, spec, config, tmp_path
+        self, spec, config, tmp_path, shards
     ):
         token = tmp_path / "poison.token"
         token.write_text("armed")
@@ -458,7 +426,7 @@ class TestWorkerDeathMidRound:
             )
             trainer = create_trainer(
                 "fedavg", bench, config, cluster=jetson_cluster(),
-                engine="socket:2",
+                engine="socket:2", shards=shards,
             )
             trainer.clients[0].__class__ = _DyingClient
             try:
@@ -475,6 +443,9 @@ class TestWorkerDeathMidRound:
         assert not poisoned.skipped
         assert poisoned.reported_clients >= 1
         assert poisoned.reported_clients + poisoned.lost <= 3
+        if shards > 1:
+            # the survivors' updates went through the shard fold
+            assert sum(poisoned.shard_reported) == poisoned.reported_clients
         # the worker died exactly once: every later round ran clean
         after = lost_counts[lost_counts.index(poisoned.lost) + 1:]
         assert all(count == 0 for count in after)
@@ -542,6 +513,15 @@ class TestFederationServerResilience:
 
 
 class TestFederationServer:
+    def test_zero_workers_rejected_before_listening(self):
+        # fails at construction, not at the first round, and binds no
+        # listener (the leak guard errors on one left behind)
+        with pytest.raises(ValueError, match="at least one worker"):
+            FederationServer(
+                "fedavg", "cifar100", "unit", num_workers=0, clients=3,
+                tasks=1,
+            )
+
     def test_full_run_matches_direct_trainer(self):
         """FederationServer.run over spawned workers reproduces the plain
         serial run of the same recipe."""

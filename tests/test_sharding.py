@@ -289,7 +289,7 @@ class TestExecutionMatrix:
         ("socket:2", 1),
         ("serial", 3),
         ("thread:2", 3),  # shard accumulation rides the thread pool
-        ("socket:2", 3),  # segment partials folded on the workers
+        ("socket:2", 3),  # socket rounds fold their shards on the server
     ])
     def test_fedavg_class_inc_full(self, spec, config, engine, shards):
         reference = run_matrix_config(spec, config)
