@@ -1,10 +1,27 @@
 """Neural-network operators for the numpy autograd substrate.
 
 Implements the fused / structured operations that the :class:`~repro.nn.tensor.Tensor`
-method set does not cover: grouped 2-D convolution (im2col based), max / average
-pooling, batch normalisation, dropout, log-softmax and the cross-entropy losses
-used throughout the FedKNOW reproduction (hard-label, soft-label / distillation,
+method set does not cover: grouped 2-D convolution, max / average pooling,
+batch normalisation, dropout, log-softmax and the cross-entropy losses used
+throughout the FedKNOW reproduction (hard-label, soft-label / distillation,
 and task-masked variants).
+
+A convolution copies its padded input's windows once, into one column
+buffer per call laid out ``(client, group, K, sample x L)``.  Its forward is
+one GEMM per (client, sample, group) reading that buffer through a view,
+and its input gradient on strided convs (and on one-column outputs) is one
+``Wᵀ @ g`` GEMM per (client, sample, group) folded by col2im: the same
+calls the im2col kernel before it issued.  Two GEMMs rely on a property of
+the BLAS instead.  The weight gradient is ``(K x N·L) @ gᵀ`` on the forward's
+buffer, the operands of the old ``g @ colsᵀ`` swapped; and a stride-1
+conv's input gradient is computed on the padded width, so col2im is
+``kh * kw`` contiguous adds, which relies on a product's extra columns not
+changing the rounding of the others.  On OpenBLAS 0.3.31 both match the
+old kernel bit for bit on the SixCNN shapes (``tests/test_kernels.py``)
+and stay within ``1e-5`` of its largest gradient on grouped, depthwise and
+odd shapes; outputs and bias gradients match bitwise on all of them.  A 2x2 /
+stride-2 max-pool on even maps compares four strided views; other pools
+keep im2col and argmax.
 
 Every operator is a registered :class:`~repro.nn.graph.OpDef`, so a model built
 from these functions can be captured on a :class:`~repro.nn.graph.GraphTape`
@@ -21,13 +38,14 @@ place exactly as the dynamic op does) but has no batched implementation.
 from __future__ import annotations
 
 import numpy as np
+from numpy.lib.stride_tricks import as_strided
 
 from . import graph, profiler
 from .graph import register_op
 from .tensor import Tensor, apply_op
 
 # ---------------------------------------------------------------------------
-# im2col / col2im
+# sliding windows: im2col / col2im
 # ---------------------------------------------------------------------------
 
 
@@ -35,6 +53,67 @@ def _pair(value) -> tuple[int, int]:
     if isinstance(value, (tuple, list)):
         return int(value[0]), int(value[1])
     return int(value), int(value)
+
+
+def _check_window(kh: int, kw: int, sh: int, sw: int, ph: int, pw: int) -> None:
+    """Reject window arguments that describe no sliding window."""
+    if kh < 1 or kw < 1:
+        raise ValueError(f"kernel_size must be positive, got {(kh, kw)}")
+    if sh < 1 or sw < 1:
+        raise ValueError(f"stride must be positive, got {(sh, sw)}")
+    if ph < 0 or pw < 0:
+        raise ValueError(f"padding must be non-negative, got {(ph, pw)}")
+
+
+def _check_pool_window(kh: int, kw: int, sh: int, sw: int, ph: int, pw: int) -> None:
+    _check_window(kh, kw, sh, sw, ph, pw)
+    if ph > kh // 2 or pw > kw // 2:
+        # a wider border has windows made only of padding
+        raise ValueError(
+            f"padding {(ph, pw)} exceeds half the kernel_size {(kh, kw)}"
+        )
+
+
+def _out_size(
+    h: int, w: int, kh: int, kw: int, sh: int, sw: int, ph: int, pw: int
+) -> tuple[int, int]:
+    oh = (h + 2 * ph - kh) // sh + 1
+    ow = (w + 2 * pw - kw) // sw + 1
+    if oh <= 0 or ow <= 0:
+        raise ValueError(
+            f"convolution window ({kh}x{kw}, stride {sh}x{sw}) does not fit "
+            f"input of spatial size {h}x{w} with padding {ph}x{pw}"
+        )
+    return oh, ow
+
+
+def _pad(x: np.ndarray, ph: int, pw: int) -> np.ndarray:
+    """``x`` zero-padded on its last two axes (``x`` itself without padding)."""
+    if not (ph or pw):
+        return x
+    h, w = x.shape[-2:]
+    # pad into a buffer with only its border zeroed: cheaper than np.pad,
+    # and unlike a calloc'd np.zeros buffer it keeps peak RSS where np.pad
+    # had it
+    padded = np.empty(x.shape[:-2] + (h + 2 * ph, w + 2 * pw), dtype=x.dtype)
+    padded[..., :ph, :] = 0
+    padded[..., ph + h :, :] = 0
+    padded[..., ph : ph + h, :pw] = 0
+    padded[..., ph : ph + h, pw + w :] = 0
+    padded[..., ph : ph + h, pw : pw + w] = x
+    return padded
+
+
+def _windows(
+    x: np.ndarray, kh: int, kw: int, sh: int, sw: int, oh: int, ow: int
+) -> np.ndarray:
+    """A view of the sliding windows of ``x`` (``(..., H, W)``, padded):
+    ``(..., kh, kw, OH, OW)``."""
+    *lead, s_h, s_w = x.strides
+    return as_strided(
+        x, x.shape[:-2] + (kh, kw, oh, ow),
+        (*lead, s_h, s_w, sh * s_h, sw * s_w), writeable=False,
+    )
 
 
 def im2col(
@@ -46,30 +125,12 @@ def im2col(
     out as ``(channel, kernel_row, kernel_col)``, plus the output spatial size.
     """
     n, c, h, w = x.shape
-    oh = (h + 2 * ph - kh) // sh + 1
-    ow = (w + 2 * pw - kw) // sw + 1
-    if oh <= 0 or ow <= 0:
-        raise ValueError(
-            f"convolution window ({kh}x{kw}, stride {sh}x{sw}) does not fit "
-            f"input of spatial size {h}x{w} with padding {ph}x{pw}"
-        )
-    if ph or pw:
-        # pad into a buffer with only its border zeroed: cheaper than
-        # np.pad, and unlike a calloc'd np.zeros buffer it keeps peak RSS
-        # where np.pad had it
-        padded = np.empty((n, c, h + 2 * ph, w + 2 * pw), dtype=x.dtype)
-        padded[:, :, :ph] = 0
-        padded[:, :, ph + h :] = 0
-        padded[:, :, ph : ph + h, :pw] = 0
-        padded[:, :, ph : ph + h, pw + w :] = 0
-        padded[:, :, ph : ph + h, pw : pw + w] = x
-        x = padded
-    cols = np.empty((n, c, kh, kw, oh, ow), dtype=x.dtype)
-    for i in range(kh):
-        i_end = i + sh * oh
-        for j in range(kw):
-            cols[:, :, i, j] = x[:, :, i:i_end:sh, j : j + sw * ow : sw]
-    return cols.reshape(n, c * kh * kw, oh * ow), oh, ow
+    oh, ow = _out_size(h, w, kh, kw, sh, sw, ph, pw)
+    cols = np.empty((n, c * kh * kw, oh * ow), dtype=x.dtype)
+    cols.reshape(n, c, kh, kw, oh, ow)[...] = _windows(
+        _pad(x, ph, pw), kh, kw, sh, sw, oh, ow
+    )
+    return cols, oh, ow
 
 
 def col2im(
@@ -111,58 +172,97 @@ def _conv2d_bfwd(ctx, *arrays, sh, sw, ph, pw, groups):
             "batched conv2d requires both the input and the weight to carry "
             "the client axis (constant/frozen weights are not supported)"
         )
-    b, n, c = x.shape[0], x.shape[1], x.shape[2]
+    b, n, c, h, w = x.shape
     c_out, c_in_g, kh, kw = weight.shape[1:]
-    cols, oh, ow = im2col(x.reshape((b * n,) + x.shape[2:]), kh, kw, sh, sw, ph, pw)
+    oh, ow = _out_size(h, w, kh, kw, sh, sw, ph, pw)
     l = oh * ow
     cog = c_out // groups
     k = c_in_g * kh * kw
-    cols_g = cols.reshape(b, n, groups, k, l)
+    # the call's one column buffer, (client, group, K, sample x L): a
+    # single copy of the padded input's windows
+    windows = _windows(_pad(x, ph, pw), kh, kw, sh, sw, oh, ow)
+    windows = windows.reshape(b, n, groups, c_in_g, kh, kw, oh, ow)
+    cols = np.empty((b, groups, k, n * l), dtype=x.dtype)
+    cols.reshape(b, groups, c_in_g, kh, kw, n, oh, ow)[...] = windows.transpose(
+        0, 2, 3, 4, 5, 1, 6, 7
+    )
     w_g = weight.reshape(b, groups, cog, k)
     # (B,1,G,CoG,K) @ (B,N,G,K,L) -> (B,N,G,CoG,L): one GEMM per
-    # (client, sample, group), whatever B is
-    out = np.matmul(w_g[:, None], cols_g)
+    # (client, sample, group), whatever B is, reading the columns in place
+    out = np.matmul(
+        w_g[:, None], cols.reshape(b, groups, k, n, l).transpose(0, 3, 1, 2, 4)
+    )
     out = out.reshape(b, n, c_out, oh, ow)
     if bias is not None:
         bshape = (b, 1, c_out, 1, 1) if ab[2] else (1, 1, c_out, 1, 1)
-        out = out + bias.reshape(bshape)
+        out += bias.reshape(bshape)
     if profiler.is_profiling():
         profiler.record_op(2.0 * b * n * c_out * l * k, float(out.size))
-    ctx["cols_g"] = cols_g
+    ctx["cols"] = cols
     ctx["w_g"] = w_g
-    ctx["dims"] = (n, c, groups, cog, l, kh, kw)
+    ctx["dims"] = (b, n, c, h, w, groups, cog, oh, ow, kh, kw)
     ctx["conv"] = (sh, sw, ph, pw)
-    ctx["b"] = b
-    ctx["x_shape"] = x.shape
     ctx["w_shape"] = weight.shape
     return out
 
 
+def _conv2d_input_grad_stride1(w_t, g, dims, ph, pw):
+    """A stride-1 conv's input gradient, computed on the padded width.
+
+    Each output row of ``g`` gains ``kw - 1`` zero columns, so a window row
+    of the gradient columns is one contiguous run of the flattened padded
+    image and col2im is ``kh * kw`` contiguous adds in im2col's (i, j)
+    order.  The real columns of ``Wᵀ @ g`` come out as in the compact
+    product; the extra ones hold ``Wᵀ @ 0 = ±0``, and adding ±0 leaves any
+    sum that started at +0 as it was.
+    """
+    b, n, c, h, w, groups, cog, oh, ow, kh, kw = dims
+    hp, wp = h + 2 * ph, w + 2 * pw
+    gp = np.empty((b, n, groups * cog, oh, wp), dtype=g.dtype)
+    gp[..., ow:] = 0
+    gp[..., :ow] = g
+    grad_cols = np.matmul(w_t, gp.reshape(b, n, groups, cog, oh * wp))
+    grad_cols = grad_cols.reshape(b * n, c, kh, kw, oh * wp)
+    flat = np.zeros((b * n, c, hp * wp), dtype=g.dtype)
+    # the last row's extra columns would run past the image: drop them
+    span = oh * wp - (kw - 1)
+    for i in range(kh):
+        for j in range(kw):
+            start = i * wp + j
+            flat[:, :, start : start + span] += grad_cols[:, :, i, j, :span]
+    gx = flat.reshape(b * n, c, hp, wp)[:, :, ph : ph + h, pw : pw + w]
+    return gx.reshape(b, n, c, h, w)
+
+
 def _conv2d_bvjp(ctx, g):
     needs = ctx["needs"]
-    n, c, groups, cog, l, kh, kw = ctx["dims"]
+    b, n, c, h, w, groups, cog, oh, ow, kh, kw = dims = ctx["dims"]
     sh, sw, ph, pw = ctx["conv"]
-    b = ctx["b"]
+    l = oh * ow
     g_g = g.reshape(b, n, groups, cog, l)
     gx = gw = gb = None
     if len(needs) > 2 and needs[2]:
         gb = g.sum(axis=(1, 3, 4))
     if needs[1]:
         # contract over the merged (N, L) axis in one GEMM per (client,
-        # group): summing per-sample partials instead would round differently
-        k = ctx["w_g"].shape[-1]
-        g2 = np.ascontiguousarray(g_g.transpose(0, 2, 3, 1, 4))
-        g2 = g2.reshape(b, groups, cog, n * l)
-        c2 = np.ascontiguousarray(ctx["cols_g"].transpose(0, 2, 1, 4, 3))
-        c2 = c2.reshape(b, groups, n * l, k)
-        gw = np.matmul(g2, c2).reshape(ctx["w_shape"])
+        # group), (K x N·L) @ (N·L x CoG) on the forward's columns: summing
+        # per-sample partials instead would round differently, and so does
+        # passing gᵀ as a transposed view instead of a contiguous copy
+        g_t = np.ascontiguousarray(g_g.transpose(0, 2, 1, 4, 3))
+        g_t = g_t.reshape(b, groups, n * l, cog)
+        gw = np.matmul(ctx["cols"], g_t)
+        gw = gw.swapaxes(-1, -2).reshape(ctx["w_shape"])
     if needs[0]:
-        grad_cols = np.matmul(ctx["w_g"][:, None].swapaxes(-1, -2), g_g)
-        grad_cols = grad_cols.reshape(b * n, c * kh * kw, l)
-        x_shape = ctx["x_shape"]
-        gx = col2im(
-            grad_cols, (b * n,) + x_shape[2:], kh, kw, sh, sw, ph, pw
-        ).reshape(x_shape)
+        w_t = ctx["w_g"][:, None].swapaxes(-1, -2)
+        if sh == sw == 1 and l > 1:
+            # (a one-column product would run as a GEMV, the padded one as
+            # a GEMM, and the two round differently)
+            gx = _conv2d_input_grad_stride1(w_t, g, dims, ph, pw)
+        else:
+            grad_cols = np.matmul(w_t, g_g).reshape(b * n, c * kh * kw, l)
+            gx = col2im(
+                grad_cols, (b * n, c, h, w), kh, kw, sh, sw, ph, pw
+            ).reshape(b, n, c, h, w)
     if len(needs) > 2:
         return (gx, gw, gb)
     return (gx, gw)
@@ -207,7 +307,8 @@ def conv2d(
     sh, sw = _pair(stride)
     ph, pw = _pair(padding)
     _, c, _, _ = x.shape
-    c_out, c_in_g, _, _ = weight.shape
+    c_out, c_in_g, kh, kw = weight.shape
+    _check_window(kh, kw, sh, sw, ph, pw)
     if c != c_in_g * groups:
         raise ValueError(
             f"input has {c} channels but weight expects {c_in_g * groups} "
@@ -223,9 +324,50 @@ def conv2d(
 # pooling
 # ---------------------------------------------------------------------------
 
+#: The four window positions of a 2x2 pool, in im2col's (i, j) order.
+_QUADRANTS = ((0, 0), (0, 1), (1, 0), (1, 1))
+
+
+def _max_pool2x2_fwd(ctx, x):
+    """2x2 / stride-2 max pool over the four window positions as views.
+
+    A later position replaces the running maximum where it is not ``<=``
+    it and the maximum is not NaN: argmax's choice (the first maximum, or
+    the first NaN), so a ±0 tie keeps the first zero as the im2col path
+    does.  Values are selected on their bits, an exact copy that is
+    cheaper than ``np.where``.
+    """
+    bits = np.dtype(f"u{x.itemsize}")
+    out = x[:, :, 0::2, 0::2].copy()
+    out_bits = out.view(bits)
+    arg = np.zeros(out.shape, dtype=np.uint8)
+    for q in (1, 2, 3):
+        i, j = _QUADRANTS[q]
+        v = np.ascontiguousarray(x[:, :, i::2, j::2])
+        take = (~(v <= out) & (out == out)).view(np.uint8)
+        out_bits ^= (out_bits ^ v.view(bits)) & np.negative(take, dtype=bits)
+        np.maximum(arg, take * np.uint8(q), out=arg)
+    ctx["arg"] = arg
+    ctx["x_shape"] = x.shape
+    return out
+
+
+def _max_pool2x2_vjp(ctx, g):
+    bits = np.dtype(f"u{g.itemsize}")
+    # each window's winner gets +0 + g and the rest +0, as col2im adds the
+    # window gradients into zeros
+    g0 = (g + 0).view(bits)
+    gx = np.empty(ctx["x_shape"], dtype=bits)
+    for q, (i, j) in enumerate(_QUADRANTS):
+        mask = np.negative((ctx["arg"] == q).view(np.uint8), dtype=bits)
+        np.bitwise_and(g0, mask, out=gx[:, :, i::2, j::2])
+    return (gx.view(g.dtype),)
+
 
 def _max_pool2d_fwd(ctx, x, *, kh, kw, sh, sw, ph, pw):
-    n, c = x.shape[0], x.shape[1]
+    n, c, h, w = x.shape
+    if (kh, kw, sh, sw, ph, pw) == (2, 2, 2, 2, 0, 0) and h % 2 == 0 and w % 2 == 0:
+        return _max_pool2x2_fwd(ctx, x)
     data = x
     if ph or pw:
         pad_value = np.finfo(data.dtype).min
@@ -246,6 +388,8 @@ def _max_pool2d_fwd(ctx, x, *, kh, kw, sh, sw, ph, pw):
 
 
 def _max_pool2d_vjp(ctx, g):
+    if "dims" not in ctx:  # the forward took the 2x2 path
+        return _max_pool2x2_vjp(ctx, g)
     n, c, oh, ow, kh, kw, sh, sw, ph, pw = ctx["dims"]
     x_shape = ctx["x_shape"]
     grad_windows = np.zeros(ctx["windows_shape"], dtype=ctx["dtype"])
@@ -287,6 +431,7 @@ def max_pool2d(x: Tensor, kernel_size=2, stride=None, padding=0) -> Tensor:
     kh, kw = _pair(kernel_size)
     sh, sw = _pair(stride if stride is not None else kernel_size)
     ph, pw = _pair(padding)
+    _check_pool_window(kh, kw, sh, sw, ph, pw)
     return apply_op(_MAX_POOL2D, (x,), kh=kh, kw=kw, sh=sh, sw=sw, ph=ph, pw=pw)
 
 
@@ -337,6 +482,7 @@ def avg_pool2d(x: Tensor, kernel_size=2, stride=None, padding=0) -> Tensor:
     kh, kw = _pair(kernel_size)
     sh, sw = _pair(stride if stride is not None else kernel_size)
     ph, pw = _pair(padding)
+    _check_pool_window(kh, kw, sh, sw, ph, pw)
     return apply_op(_AVG_POOL2D, (x,), kh=kh, kw=kw, sh=sh, sw=sw, ph=ph, pw=pw)
 
 

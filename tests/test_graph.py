@@ -164,6 +164,28 @@ BATCHED_CASES.update({
     "conv2d-stride2": _conv_case((2, 16, 8, 8), (32, 16, 3, 3), stride=2,
                                  padding=1),
     "conv2d-2x2x256": _conv_case((2, 64, 2, 2), (256, 64, 3, 3), padding=1),
+    # the shapes tests/test_kernels.py holds against the im2col kernel:
+    # the SixCNN convs, the padded-width input gradient on a 4x4 and an
+    # unpadded 7x7 map, its one-column fallback, and grouped / strided
+    # convs on the generic col2im
+    "conv2d-sixcnn-3to16": _conv_case((2, 3, 16, 16), (16, 3, 3, 3),
+                                      padding=1),
+    "conv2d-sixcnn-16to16": _conv_case((2, 16, 16, 16), (16, 16, 3, 3),
+                                       padding=1),
+    "conv2d-sixcnn-32to32": _conv_case((2, 32, 8, 8), (32, 32, 3, 3),
+                                       padding=1),
+    "conv2d-64to64-4x4": _conv_case((2, 64, 4, 4), (64, 64, 3, 3), padding=1),
+    "conv2d-groups2": _conv_case((2, 16, 8, 8), (32, 8, 3, 3), padding=1,
+                                 groups=2),
+    "conv2d-5x5-stride2": _conv_case((2, 8, 9, 9), (16, 8, 5, 5), stride=2,
+                                     padding=2),
+    "conv2d-7x7-nopad": _conv_case((2, 8, 7, 7), (16, 8, 3, 3)),
+    "conv2d-one-column": _conv_case((2, 256, 2, 2), (256, 256, 2, 2)),
+    # odd sizes and other windows take the generic im2col pool
+    "max_pool2d-odd": Case(lambda r: ([_f(r, 2, 3, 5, 7)], {}),
+                           lambda ls, ins: F.max_pool2d(ls[0], 2)),
+    "max_pool2d-3x3": Case(lambda r: ([_f(r, 2, 3, 6, 6)], {}),
+                           lambda ls, ins: F.max_pool2d(ls[0], 3, 1, 1)),
 })
 
 
