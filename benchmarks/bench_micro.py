@@ -32,6 +32,8 @@ from repro.models import build_model
 from repro.nn import SGD, Tensor
 from repro.nn import functional as F
 
+from gate import median_cpu_ratio
+
 
 @pytest.fixture(scope="module")
 def setting():
@@ -232,12 +234,6 @@ def _seconds(fn) -> float:
     return time.perf_counter() - start
 
 
-def _cpu_seconds(fn) -> float:
-    start = time.process_time()
-    fn()
-    return time.process_time() - start
-
-
 #: The batched engine's bar: a 64-client round replayed in one-client
 #: chunks over the same round in one chunk, in CPU time.  Both sides run
 #: the same kernels, so the ratio is what batching the clients buys.  On a
@@ -264,12 +260,8 @@ def test_batched_round_64c(benchmark, round_64c):
 
     one_client, one_chunk = round_in_chunks_of(1), round_in_chunks_of(None)
     one_chunk()  # capture the tape both sides replay, and warm up
-    ratios = []
-    for _ in range(5):
-        serial_cpu = _cpu_seconds(one_client)
-        ratios.append(serial_cpu / _cpu_seconds(one_chunk))
+    ratio, ratios = median_cpu_ratio(one_client, one_chunk, pairs=5)
     benchmark(one_chunk)
-    ratio = float(np.median(ratios))
     assert ratio >= BATCHED_ROUND_BAR, (
         f"batched round speedup {ratio:.2f}x < {BATCHED_ROUND_BAR}x "
         f"(one-client chunks over one chunk, CPU time; pairs: "
@@ -279,13 +271,12 @@ def test_batched_round_64c(benchmark, round_64c):
 
 def test_telemetry_overhead_64c(benchmark, round_64c):
     """Telemetry cost contract on the batched 64-client round: the
-    instrumented-but-disabled path, timed after a session closed (so any
-    residual cost counts), stays within 1.05x of a truly plain round — every
-    replay's counter-and-tracer guard patched down to a bare body(), timed
-    in alternation with the disabled round so host-speed drift hits both
-    alike — and an enabled session — spans plus per-op replay timing —
-    costs at most 1.3x (best-of-7 on the compared sides to keep scheduler
-    noise under the 1.05 margin)."""
+    instrumented-but-disabled path, run after a session closed (so any
+    residual cost counts), stays within 1.05x of a truly plain round —
+    every replay's counter-and-tracer guard patched down to a bare body() —
+    and an enabled session — spans plus per-op replay timing — costs at
+    most 1.3x.  Each bound holds the median CPU-time ratio of
+    ``gate.TELEMETRY_PAIRS`` interleaved pairs (``median_cpu_ratio``)."""
     from unittest import mock
 
     from repro.nn.graph import GraphTape
@@ -302,23 +293,23 @@ def test_telemetry_overhead_64c(benchmark, round_64c):
                                lambda self, kind, body, **attrs: body()):
             batched_round()
 
-    batched_round()  # warm-up
-    with Telemetry():
-        batched_round()  # warm the traced path
-        enabled_best = min(_seconds(batched_round) for _ in range(5))
-    disabled, plain = [], []
-    for _ in range(7):
-        disabled.append(_seconds(batched_round))
-        plain.append(_seconds(bare_round))
-    disabled_best, plain_best = min(disabled), min(plain)
+    def enabled_round():
+        with Telemetry():
+            batched_round()
+
+    enabled_round()  # warm the traced path
+    enabled, enabled_pairs = median_cpu_ratio(enabled_round, batched_round)
+    disabled, disabled_pairs = median_cpu_ratio(batched_round, bare_round)
     benchmark(batched_round)
-    assert disabled_best <= 1.05 * plain_best, (
-        f"disabled telemetry {disabled_best:.4f}s > 1.05x plain round "
-        f"{plain_best:.4f}s"
+    assert disabled <= 1.05, (
+        f"disabled telemetry {disabled:.3f}x > 1.05x the plain round "
+        f"(median CPU-time ratio; pairs: "
+        + ", ".join(f"{r:.2f}" for r in disabled_pairs) + ")"
     )
-    assert enabled_best <= 1.3 * disabled_best, (
-        f"enabled telemetry {enabled_best:.4f}s > 1.3x disabled round "
-        f"{disabled_best:.4f}s"
+    assert enabled <= 1.3, (
+        f"enabled telemetry {enabled:.3f}x > 1.3x the disabled round "
+        f"(median CPU-time ratio; pairs: "
+        + ", ".join(f"{r:.2f}" for r in enabled_pairs) + ")"
     )
 
 

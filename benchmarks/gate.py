@@ -91,16 +91,39 @@ def best_seconds(fn, repeats: int = 7, min_seconds: float = 0.1) -> float:
     return best
 
 
-def best_seconds_interleaved(fns, repeats: int = 7) -> list[float]:
-    """Best single-call time of each of ``fns``, called in alternation, so
-    drift in host speed during the measurement weighs on each alike."""
-    best = [float("inf")] * len(fns)
-    for _ in range(repeats):
-        for i, fn in enumerate(fns):
-            start = time.perf_counter()
-            fn()
-            best[i] = min(best[i], time.perf_counter() - start)
-    return best
+#: Interleaved pairs behind each telemetry case.  On a shared 2-vCPU host,
+#: with the other CPU busy, one pair's CPU-time ratio of two rounds that
+#: differ by nothing but noise read 0.69-1.27; medians of 9 pairs read
+#: 0.92-1.06 and medians of 21 read 0.95-1.04 (12 trials each case).  At
+#: 21 a 5% bound holds on noise, and a 10% cost on the replay path (a 7-10%
+#: slower round) still fails it.
+TELEMETRY_PAIRS = 21
+
+
+def cpu_seconds(fn) -> float:
+    """CPU seconds of one ``fn()`` call, all of the process's threads."""
+    start = time.process_time()
+    fn()
+    return time.process_time() - start
+
+
+def median_cpu_ratio(numerator, denominator, pairs: int = TELEMETRY_PAIRS):
+    """Median CPU-time ratio ``numerator() / denominator()`` over
+    interleaved pairs, the side that runs first alternating, so host drift
+    and warm caches favour neither.  Returns ``(median, per-pair ratios)``.
+
+    CPU time leaves out the time the process waits for a CPU, which is
+    most of the wall-clock jitter of a shared host."""
+    ratios = []
+    for pair in range(pairs):
+        if pair % 2:
+            below = cpu_seconds(denominator)
+            above = cpu_seconds(numerator)
+        else:
+            above = cpu_seconds(numerator)
+            below = cpu_seconds(denominator)
+        ratios.append(above / below)
+    return float(np.median(ratios)), ratios
 
 
 def calibration_seconds() -> float:
@@ -170,6 +193,10 @@ def _local_round_cases() -> dict[str, float]:
         with mock.patch.object(GraphTape, "_traced", _bare_traced):
             batched_round()
 
+    def enabled_round():
+        with Telemetry():
+            batched_round()
+
     try:
         cases = {
             "serial_round_64c": best_seconds(
@@ -185,11 +212,12 @@ def _local_round_cases() -> dict[str, float]:
         # enabled session (spans + per-op timing) vs the disabled path,
         # and the disabled path vs a truly uninstrumented one, with every
         # replay's counter-and-tracer guard patched down to a bare body()
-        with Telemetry():
-            enabled = best_seconds(batched_round, repeats=3)
-        disabled, bare = best_seconds_interleaved([batched_round, bare_round])
-        cases["telemetry_overhead_64c"] = enabled / disabled
-        cases["telemetry_disabled_64c"] = disabled / bare
+        cases["telemetry_overhead_64c"], _ = median_cpu_ratio(
+            enabled_round, batched_round
+        )
+        cases["telemetry_disabled_64c"], _ = median_cpu_ratio(
+            batched_round, bare_round
+        )
         return cases
     finally:
         serial.close()

@@ -17,11 +17,13 @@ buffer, the operands of the old ``g @ colsᵀ`` swapped; and a stride-1
 conv's input gradient is computed on the padded width, so col2im is
 ``kh * kw`` contiguous adds, which relies on a product's extra columns not
 changing the rounding of the others.  On OpenBLAS 0.3.31 both match the
-old kernel bit for bit on the SixCNN shapes (``tests/test_kernels.py``)
-and stay within ``1e-5`` of its largest gradient on grouped, depthwise and
-odd shapes; outputs and bias gradients match bitwise on all of them.  A 2x2 /
-stride-2 max-pool on even maps compares four strided views; other pools
-keep im2col and argmax.
+old kernel bit for bit on the SixCNN shapes (``tests/test_kernels.py``);
+on grouped, depthwise and odd shapes the weight gradient stays within
+``1e-5`` of its largest entry, and outputs, input and bias gradients match
+bitwise.  The input gradient is computed a slice of clients at a time
+into its ``(B, N, C, H, W)`` result, so its temporaries hold about 1 MB
+or one client, whichever is more.  A 2x2 / stride-2 max-pool on even maps
+compares four strided views; other pools keep im2col and argmax.
 
 Every operator is a registered :class:`~repro.nn.graph.OpDef`, so a model built
 from these functions can be captured on a :class:`~repro.nn.graph.GraphTape`
@@ -206,38 +208,77 @@ def _conv2d_bfwd(ctx, *arrays, sh, sw, ph, pw, groups):
     return out
 
 
-def _conv2d_input_grad_stride1(w_t, g, dims, ph, pw):
-    """A stride-1 conv's input gradient, computed on the padded width.
+#: A conv's input gradient runs over slices of whole clients, as many as
+#: keep the slice's temporaries within this many bytes (at least one).  One
+#: client at a time bounds memory the same way on model-sized inputs, but
+#: on tiny ones (64 clients, 3x8x8, batch 1) its per-client numpy calls made
+#: the whole batched round 1.29x the CPU time of the all-clients kernel
+#: (median of 41 interleaved pairs); 1 MB slices read 0.95x.
+_INPUT_GRAD_SLICE_BYTES = 1 << 20
 
-    Each output row of ``g`` gains ``kw - 1`` zero columns, so a window row
-    of the gradient columns is one contiguous run of the flattened padded
-    image and col2im is ``kh * kw`` contiguous adds in im2col's (i, j)
-    order.  The real columns of ``Wᵀ @ g`` come out as in the compact
-    product; the extra ones hold ``Wᵀ @ 0 = ±0``, and adding ±0 leaves any
-    sum that started at +0 as it was.
+
+def _conv2d_input_grad(w_t, g, dims, conv):
+    """A conv's input gradient, ``(B, N, C, H, W)``, a slice of clients at
+    a time.
+
+    The GEMMs are the per-(client, sample, group) calls of the whole
+    batch, so the bits are the same, but the padded gradient, gradient
+    columns and fold buffer only ever hold one slice.
     """
     b, n, c, h, w, groups, cog, oh, ow, kh, kw = dims
+    sh, sw, ph, pw = conv
     hp, wp = h + 2 * ph, w + 2 * pw
-    gp = np.empty((b, n, groups * cog, oh, wp), dtype=g.dtype)
+    gx = np.empty((b, n, c, h, w), dtype=g.dtype)
+    if sh != 1 or sw != 1 or oh * ow == 1:
+        # im2col's fold (a one-column product would run as a GEMV, the
+        # padded one below as a GEMM, and the two round differently)
+        client_bytes = g.itemsize * n * c * (kh * kw * oh * ow + hp * wp)
+        step = max(1, min(b, _INPUT_GRAD_SLICE_BYTES // client_bytes))
+        g_g = g.reshape(b, n, groups, cog, oh * ow)
+        for lo in range(0, b, step):
+            k = min(step, b - lo)
+            grad_cols = np.matmul(w_t[lo : lo + k], g_g[lo : lo + k])
+            grad_cols = grad_cols.reshape(k * n, c * kh * kw, oh * ow)
+            folded = col2im(grad_cols, (k * n, c, h, w), kh, kw, sh, sw, ph, pw)
+            gx[lo : lo + k] = folded.reshape(k, n, c, h, w)
+        return gx
+    # stride 1: computed on the padded width.  Each output row of ``g``
+    # gains ``kw - 1`` zero columns, so a window row of the gradient
+    # columns is one contiguous run of the flattened padded image and
+    # col2im is ``kh * kw`` contiguous adds in im2col's (i, j) order.  The
+    # real columns of ``Wᵀ @ g`` come out as in the compact product; the
+    # extra ones hold ``Wᵀ @ 0 = ±0``, and adding ±0 leaves any sum that
+    # started at +0 as it was.
+    client_bytes = g.itemsize * n * wp * (
+        groups * cog * oh + c * kh * kw * oh + c * hp
+    )
+    step = max(1, min(b, _INPUT_GRAD_SLICE_BYTES // client_bytes))
+    gp = np.empty((step, n, groups * cog, oh, wp), dtype=g.dtype)
     gp[..., ow:] = 0
-    gp[..., :ow] = g
-    grad_cols = np.matmul(w_t, gp.reshape(b, n, groups, cog, oh * wp))
-    grad_cols = grad_cols.reshape(b * n, c, kh, kw, oh * wp)
-    flat = np.zeros((b * n, c, hp * wp), dtype=g.dtype)
+    flat = np.empty((step * n, c, hp * wp), dtype=g.dtype)
     # the last row's extra columns would run past the image: drop them
     span = oh * wp - (kw - 1)
-    for i in range(kh):
-        for j in range(kw):
-            start = i * wp + j
-            flat[:, :, start : start + span] += grad_cols[:, :, i, j, :span]
-    gx = flat.reshape(b * n, c, hp, wp)[:, :, ph : ph + h, pw : pw + w]
-    return gx.reshape(b, n, c, h, w)
+    for lo in range(0, b, step):
+        k = min(step, b - lo)
+        gp[:k, ..., :ow] = g[lo : lo + k]
+        grad_cols = np.matmul(
+            w_t[lo : lo + k], gp[:k].reshape(k, n, groups, cog, oh * wp)
+        )
+        grad_cols = grad_cols.reshape(k * n, c, kh, kw, oh * wp)
+        fold = flat[: k * n]
+        fold.fill(0)
+        for i in range(kh):
+            for j in range(kw):
+                start = i * wp + j
+                fold[:, :, start : start + span] += grad_cols[:, :, i, j, :span]
+        fold = fold.reshape(k, n, c, hp, wp)
+        gx[lo : lo + k] = fold[..., ph : ph + h, pw : pw + w]
+    return gx
 
 
 def _conv2d_bvjp(ctx, g):
     needs = ctx["needs"]
     b, n, c, h, w, groups, cog, oh, ow, kh, kw = dims = ctx["dims"]
-    sh, sw, ph, pw = ctx["conv"]
     l = oh * ow
     g_g = g.reshape(b, n, groups, cog, l)
     gx = gw = gb = None
@@ -254,15 +295,7 @@ def _conv2d_bvjp(ctx, g):
         gw = gw.swapaxes(-1, -2).reshape(ctx["w_shape"])
     if needs[0]:
         w_t = ctx["w_g"][:, None].swapaxes(-1, -2)
-        if sh == sw == 1 and l > 1:
-            # (a one-column product would run as a GEMV, the padded one as
-            # a GEMM, and the two round differently)
-            gx = _conv2d_input_grad_stride1(w_t, g, dims, ph, pw)
-        else:
-            grad_cols = np.matmul(w_t, g_g).reshape(b * n, c * kh * kw, l)
-            gx = col2im(
-                grad_cols, (b * n, c, h, w), kh, kw, sh, sw, ph, pw
-            ).reshape(b, n, c, h, w)
+        gx = _conv2d_input_grad(w_t, g, dims, ctx["conv"])
     if len(needs) > 2:
         return (gx, gw, gb)
     return (gx, gw)

@@ -27,7 +27,13 @@ labels, masks), **params** (grad-carrying leaves, re-read from the bound
 modules or passed explicitly per replay) and **consts** (baked at capture).
 Parameter shapes are validated on every replay: a module whose parameter
 shapes changed after capture raises a clear ``RuntimeError`` instead of
-silently replaying a stale program.
+silently replaying a stale program.  An input or parameter whose dtype
+differs from the capture's raises ``ValueError``.
+
+Finalizing a tape plans the memory of every replay: each intermediate is
+dropped right after its last reader runs, a node's VJP context is kept
+only when a gradient can reach the node and only until its VJP has run,
+and a forward-only replay keeps no context past its node.
 
 :func:`replay_backward` / :func:`replay_forward` run a loss (or forward)
 function of a live model as a replay of a tape captured on that model on
@@ -186,6 +192,9 @@ class OpNode:
         "arg_shapes",
         "out_shape",
         "grad_mask",
+        "arg_batched",
+        "releases",
+        "keeps_ctx",
     )
 
     def __init__(self, op, arg_slots, out_slot, params, arg_shapes, out_shape):
@@ -195,7 +204,15 @@ class OpNode:
         self.params = params
         self.arg_shapes = arg_shapes
         self.out_shape = out_shape
+        # set by GraphTape._finalize:
         self.grad_mask: tuple[bool, ...] = ()
+        # per argument, whether a batched replay gives it the client axis;
+        # None when no argument has it (the node runs unbatched)
+        self.arg_batched: tuple[bool, ...] | None = None
+        # produced slots whose last forward reader this node is
+        self.releases: tuple[int, ...] = ()
+        # whether a gradient can reach this node's VJP
+        self.keeps_ctx = False
 
 
 class _ParamSlot:
@@ -307,13 +324,44 @@ class GraphTape:
         self._finalize()
 
     def _finalize(self) -> None:
+        """Plan every replay: gradient masks, the batched client axis, and
+        the liveness of slots and VJP contexts."""
         needs = np.zeros(self.num_slots, dtype=bool)
+        batched = np.zeros(self.num_slots, dtype=bool)
         for ps in self.param_slots:
-            needs[ps.slot] = True
-        for node in self.nodes:
+            needs[ps.slot] = batched[ps.slot] = True
+        for slot, _, _ in self.inputs.values():
+            batched[slot] = True
+        # a produced slot dies after its last reader (or, unread, after
+        # its producer); leaves and the output live for the whole replay
+        last_read = {}
+        for i, node in enumerate(self.nodes):
             node.grad_mask = tuple(bool(needs[s]) for s in node.arg_slots)
             if not node.op.stops_grad and any(node.grad_mask):
                 needs[node.out_slot] = True
+            arg_batched = tuple(bool(batched[s]) for s in node.arg_slots)
+            if any(arg_batched):
+                node.arg_batched = arg_batched
+                batched[node.out_slot] = True
+            for s in node.arg_slots:
+                if s in last_read:
+                    last_read[s] = i
+            last_read[node.out_slot] = i
+        releases: list[list[int]] = [[] for _ in self.nodes]
+        for slot, i in last_read.items():
+            if slot != self.output_slot:
+                releases[i].append(slot)
+        # the backward sweep runs a node's VJP only when a gradient reached
+        # its output and one of its arguments needs one; no other node's
+        # context is worth keeping
+        reached = np.zeros(self.num_slots, dtype=bool)
+        reached[self.output_slot] = True
+        for node, released in zip(reversed(self.nodes), reversed(releases)):
+            node.releases = tuple(released)
+            node.keeps_ctx = bool(reached[node.out_slot]) and any(node.grad_mask)
+            if node.keeps_ctx:
+                for s, need in zip(node.arg_slots, node.grad_mask):
+                    reached[s] |= need
         self._slot_needs = needs
         self._finalized = True
         # slots are resolved: holding the capture-time tensors any longer
@@ -398,11 +446,17 @@ class GraphTape:
                     f"tape input {name!r} has shape {arr.shape}, "
                     f"expected {expected}"
                 )
+            if arr.dtype != dtype:
+                # numpy would promote every op downstream instead
+                raise ValueError(
+                    f"tape input {name!r} has dtype {arr.dtype}, "
+                    f"captured as {dtype}"
+                )
             values[slot] = arr
             unseen.discard(name)
         if unseen:
             raise ValueError(f"missing tape input(s): {sorted(unseen)}")
-        for ps, arr in zip(self.param_slots, param_arrays):
+        for index, (ps, arr) in enumerate(zip(self.param_slots, param_arrays)):
             expected = ps.shape if batch is None else (batch,) + ps.shape
             if arr.shape != expected:
                 raise RuntimeError(
@@ -411,32 +465,49 @@ class GraphTape:
                     f"{arr.shape if batch is None else arr.shape[1:]} "
                     f"between capture and replay; re-capture the graph"
                 )
+            if arr.dtype != ps.dtype:
+                raise ValueError(
+                    f"tape parameter {index} (slot {ps.slot}) has dtype "
+                    f"{arr.dtype}, captured as {ps.dtype}"
+                )
             values[ps.slot] = arr
         return values
 
-    def _forward(self, values):
-        ctxs = []
-        if _profiler._timers:
-            return self._forward_timed(values)
-        for node in self.nodes:
-            ctx = {"needs": node.grad_mask}
-            args = [values[s] for s in node.arg_slots]
-            values[node.out_slot] = node.op.forward(ctx, *args, **node.params)
-            ctxs.append(ctx)
-        return ctxs
+    def _forward(self, values, grad: bool = False, batch: int | None = None,
+                 keep=()) -> list | None:
+        """Run every node in order, filling ``values`` (one entry per slot).
 
-    def _forward_timed(self, values):
-        """The forward loop with per-op wall time fed to active OpTimers."""
-        ctxs = []
+        Each produced slot is dropped once its last reader has run, unless
+        it is in ``keep``; the output and the leaves stay.  With ``grad``,
+        returns one VJP context per node, ``None`` where no gradient can
+        reach the node; without it, no context outlives its node.  With a
+        ``batch``, nodes whose arguments carry the client axis run their
+        ``batched_forward``.  Active OpTimers get each op's wall time.
+        """
+        ctxs = [None] * len(self.nodes) if grad else None
+        timers = _profiler._timers
         perf = time.perf_counter
-        for node in self.nodes:
+        for i, node in enumerate(self.nodes):
             ctx = {"needs": node.grad_mask}
+            fn = node.op.forward
+            if batch is not None and node.arg_batched is not None:
+                ctx["B"] = batch
+                ctx["arg_batched"] = node.arg_batched
+                ctx["out_ndim"] = len(node.out_shape)
+                fn = node.op.batched_forward
             args = [values[s] for s in node.arg_slots]
-            started = perf()
-            values[node.out_slot] = node.op.forward(ctx, *args, **node.params)
-            _profiler.record_op_seconds("fwd." + node.op.name,
-                                        perf() - started)
-            ctxs.append(ctx)
+            if timers:
+                started = perf()
+                values[node.out_slot] = fn(ctx, *args, **node.params)
+                _profiler.record_op_seconds("fwd." + node.op.name,
+                                            perf() - started)
+            else:
+                values[node.out_slot] = fn(ctx, *args, **node.params)
+            for s in node.releases:
+                if s not in keep:
+                    values[s] = None
+            if grad and node.keeps_ctx:
+                ctxs[i] = ctx
         return ctxs
 
     def _traced(self, kind: str, body, **attrs):
@@ -467,9 +538,11 @@ class GraphTape:
         self._forward(values)
         return values[self.output_slot]
 
-    def _backward(self, values, ctxs, seed, batched_mask=None, taps=None,
+    def _backward(self, out_value, ctxs, seed, batched=False, taps=(),
                   tap_grads=None):
-        out_value = values[self.output_slot]
+        """The reverse sweep from ``out_value``; returns the gradients left
+        on leaf slots.  Each context in ``ctxs`` is dropped as its node is
+        passed, so the sweep frees the forward's buffers as it goes."""
         if seed is None:
             seed = np.ones_like(out_value)
         grads: dict[int, np.ndarray] = {
@@ -480,24 +553,24 @@ class GraphTape:
         perf = time.perf_counter
         for i in range(len(self.nodes) - 1, -1, -1):
             node = self.nodes[i]
+            ctx, ctxs[i] = ctxs[i], None
             g = grads.pop(node.out_slot, None)
-            if taps is not None and node.out_slot in taps and g is not None:
+            if taps and g is not None and node.out_slot in taps:
                 # the popped gradient is fully accumulated here (all consumers
                 # sit later in the node list, so they were already processed)
                 tap_grads[node.out_slot] = g
-            if g is None or not any(node.grad_mask):
+            if g is None or ctx is None:
                 continue
-            if batched_mask is None or not batched_mask[node.out_slot]:
-                vjp = node.op.vjp
-            else:
-                vjp = node.op.batched_vjp or node.op.vjp
+            vjp = node.op.vjp
+            if batched and node.arg_batched is not None:
+                vjp = node.op.batched_vjp or vjp
             if timers:
                 started = perf()
-                pgrads = vjp(ctxs[i], g)
+                pgrads = vjp(ctx, g)
                 _profiler.record_op_seconds("bwd." + node.op.name,
                                             perf() - started)
             else:
-                pgrads = vjp(ctxs[i], g)
+                pgrads = vjp(ctx, g)
             for s, pg in zip(node.arg_slots, pgrads):
                 if pg is None or not needs[s]:
                     continue
@@ -508,6 +581,9 @@ class GraphTape:
                     if pg.dtype != acc.dtype:
                         pg = pg.astype(acc.dtype)
                     grads[s] = acc + pg
+            # an addend folded into a sum would otherwise live on through
+            # the next node's VJP
+            pgrads = pg = None
         return grads
 
     def replay_grad(
@@ -529,13 +605,11 @@ class GraphTape:
 
     def _replay_grad(self, inputs, params, seed):
         self._check_finalized()
-        param_arrays = self._param_arrays(params)
-        values = self._fill_values(inputs, param_arrays, None)
-        ctxs = self._forward(values)
-        grads = self._backward(values, ctxs, seed)
-        return values[self.output_slot], [
-            grads.get(ps.slot) for ps in self.param_slots
-        ]
+        values = self._fill_values(inputs, self._param_arrays(params), None)
+        ctxs = self._forward(values, grad=True)
+        out = values[self.output_slot]
+        grads = self._backward(out, ctxs, seed)
+        return out, [grads.get(ps.slot) for ps in self.param_slots]
 
     def replay_grad_tapped(
         self,
@@ -562,11 +636,11 @@ class GraphTape:
     def _replay_grad_tapped(self, inputs, params, seed, taps):
         self._check_finalized()
         tap_set = set(taps)
-        param_arrays = self._param_arrays(params)
-        values = self._fill_values(inputs, param_arrays, None)
-        ctxs = self._forward(values)
+        values = self._fill_values(inputs, self._param_arrays(params), None)
+        ctxs = self._forward(values, grad=True, keep=tap_set)
+        out = values[self.output_slot]
         tap_grads: dict[int, np.ndarray] = {}
-        grads = self._backward(values, ctxs, seed, taps=tap_set,
+        grads = self._backward(out, ctxs, seed, taps=tap_set,
                                tap_grads=tap_grads)
         # leaf slots (params/inputs) are never popped by a node; read their
         # fully-accumulated gradients from the residual dict
@@ -575,7 +649,7 @@ class GraphTape:
                 tap_grads[slot] = grads[slot]
         tap_values = {slot: values[slot] for slot in tap_set}
         return (
-            values[self.output_slot],
+            out,
             [grads.get(ps.slot) for ps in self.param_slots],
             tap_values,
             tap_grads,
@@ -584,17 +658,6 @@ class GraphTape:
     # ------------------------------------------------------------------
     # batched replay
     # ------------------------------------------------------------------
-    def _batched_masks(self) -> np.ndarray:
-        batched = np.zeros(self.num_slots, dtype=bool)
-        for slot, _, _ in self.inputs.values():
-            batched[slot] = True
-        for ps in self.param_slots:
-            batched[ps.slot] = True
-        for node in self.nodes:
-            if any(batched[s] for s in node.arg_slots):
-                batched[node.out_slot] = True
-        return batched
-
     def replay_grad_batched(
         self,
         inputs: Mapping[str, np.ndarray],
@@ -624,38 +687,11 @@ class GraphTape:
                 f"captured graph contains op(s) without a batched "
                 f"implementation: {unsupported}"
             )
-        batched = self._batched_masks()
         values = self._fill_values(inputs, list(params), batch)
-        ctxs = []
-        timers = _profiler._timers
-        perf = time.perf_counter
-        for node in self.nodes:
-            ctx = {"needs": node.grad_mask}
-            args = [values[s] for s in node.arg_slots]
-            if batched[node.out_slot]:
-                ctx["B"] = batch
-                ctx["arg_batched"] = tuple(
-                    bool(batched[s]) for s in node.arg_slots
-                )
-                ctx["out_ndim"] = len(node.out_shape)
-                fn = node.op.batched_forward
-            else:
-                fn = node.op.forward
-            if timers:
-                started = perf()
-                values[node.out_slot] = fn(ctx, *args, **node.params)
-                _profiler.record_op_seconds("fwd." + node.op.name,
-                                            perf() - started)
-            else:
-                values[node.out_slot] = fn(ctx, *args, **node.params)
-            ctxs.append(ctx)
-        if seed is None:
-            out_value = values[self.output_slot]
-            seed = np.ones_like(out_value)
-        grads = self._backward(values, ctxs, seed, batched_mask=batched)
-        return values[self.output_slot], [
-            grads.get(ps.slot) for ps in self.param_slots
-        ]
+        ctxs = self._forward(values, grad=True, batch=batch)
+        out = values[self.output_slot]
+        grads = self._backward(out, ctxs, seed, batched=True)
+        return out, [grads.get(ps.slot) for ps in self.param_slots]
 
 
 # ----------------------------------------------------------------------

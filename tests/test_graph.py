@@ -1,6 +1,6 @@
 """Tests for the static graph tape (:mod:`repro.nn.graph`).
 
-Three contracts:
+Five contracts:
 
 * **replay equivalence** — for every registered op, a program captured on a
   :class:`GraphTape` replays bit-identically to the dynamic closure-based
@@ -9,9 +9,15 @@ Three contracts:
   batched replay of B independent leaf/input sets matches B per-slice
   replays (bit-identical when the tape is ``batch_exact``);
 * **capture semantics** — detach stays a no-copy view, parameter shape
-  changes invalidate the tape loudly, a finalized tape pins no capture-time
-  tensor, and replay eliminates the per-op dispatch the dynamic tape pays
-  (the profiler's ``dispatches`` counter);
+  changes invalidate the tape loudly, inputs and parameters of another
+  dtype are refused, a finalized tape pins no capture-time tensor, and
+  replay eliminates the per-op dispatch the dynamic tape pays (the
+  profiler's ``dispatches`` counter);
+* **liveness** — a replay drops each intermediate after its last reader
+  and each VJP context after its node, yet graphs whose intermediates are
+  read late (residuals, three readers of one slot, tapped slots) replay
+  bit-identically to dynamic autograd, and the peak memory of SixCNN
+  replays stays pinned (``tracemalloc``);
 * **model tapes** — :func:`replay_backward` on a live model equals dynamic
   autograd, captures once per mode and input shape, leaves BN statistics as
   one dynamic step would, and never travels with a pickled model.
@@ -21,6 +27,7 @@ from __future__ import annotations
 
 import gc
 import pickle
+import tracemalloc
 import weakref
 
 import numpy as np
@@ -29,9 +36,15 @@ import pytest
 from repro.models import build_model
 from repro.nn import Tensor
 from repro.nn import functional as F
-from repro.nn.graph import OPS, GraphTape, model_tape, replay_backward
+from repro.nn.graph import (
+    OPS,
+    GraphTape,
+    model_tape,
+    replay_backward,
+    replay_forward,
+)
 from repro.nn.profiler import OpProfiler
-from repro.nn.tensor import concat, stack
+from repro.nn.tensor import concat, no_grad, stack
 
 
 def _f(rng, *shape, lo=-1.0, hi=1.0):
@@ -333,6 +346,32 @@ class TestCaptureSemantics:
         with pytest.raises(RuntimeError, match="GraphTape invalidated"):
             tape.replay_grad({"x": x}, params=[])
 
+    def test_inputs_of_another_dtype_are_refused(self):
+        """A float32 capture replayed on float64 or int64 minibatches would
+        run every op in the wider dtype; the replay refuses instead."""
+        model = build_model("six_cnn", 10, input_shape=(3, 8, 8),
+                            rng=np.random.default_rng(0))
+        model.eval()
+        x = np.random.default_rng(1).standard_normal((4, 3, 8, 8))
+        x = x.astype(np.float32)
+        tape, _ = model_tape(model, _logits, {"x": x})
+        for dtype in ("float64", "int64"):
+            with pytest.raises(ValueError, match=f"'x' has dtype {dtype}, "
+                                                 "captured as float32"):
+                tape.replay({"x": x.astype(dtype)})
+            with pytest.raises(ValueError, match=f"'x' has dtype {dtype}"):
+                tape.replay_grad({"x": x.astype(dtype)})
+        assert tape.replay({"x": x}).dtype == np.float32
+
+    def test_parameters_of_another_dtype_are_refused(self):
+        tape, x = self._simple_tape()
+        with pytest.raises(ValueError, match=r"parameter 0 \(slot \d+\) has "
+                                             "dtype float64, captured as float32"):
+            tape.replay_grad({"x": x}, params=[np.ones((3,), np.float64)])
+        with pytest.raises(ValueError, match="parameter 0 .* dtype float64"):
+            tape.replay_grad_batched({"x": np.stack([x, x])},
+                                     [np.ones((2, 3), np.float64)], 2)
+
     def test_finalized_tape_releases_capture_time_tensors(self):
         rng = np.random.default_rng(0)
         w = Tensor(_f(rng, 3, 4), requires_grad=True)
@@ -385,6 +424,10 @@ def _masked_ce(model, x, y, mask):
     return F.cross_entropy(model(x), y, class_mask=mask)
 
 
+def _logits(model, x):
+    return model(x)
+
+
 def _batch(rng, n, shape=(3, 8, 8), classes=10):
     x = rng.standard_normal((n,) + shape).astype(np.float32)
     y = rng.integers(0, 5, size=n).astype(np.int64)
@@ -402,7 +445,7 @@ def _dynamic_step(model, inputs):
 
 
 class TestModelTapes:
-    @pytest.mark.parametrize("name", ["six_cnn", "resnet18"])
+    @pytest.mark.parametrize("name", ["six_cnn", "resnet18", "shufflenet_v2"])
     def test_replay_backward_equals_dynamic_autograd(self, name):
         """Same loss, same gradients, same BN statistics, step after step
         (the capture must not advance BN running statistics itself)."""
@@ -423,6 +466,22 @@ class TestModelTapes:
             for (_, a), (_, b) in zip(replayed.named_buffers(),
                                       dynamic.named_buffers()):
                 assert np.array_equal(a, b)
+
+    @pytest.mark.parametrize("name", ["resnet18", "shufflenet_v2"])
+    def test_forward_replay_equals_dynamic_forward(self, name):
+        """Residual adds and ShuffleNet's split / concat read activations
+        long after they were produced; a forward replay drops each one only
+        after that last read."""
+        model = build_model(name, 10, input_shape=(3, 8, 8),
+                            rng=np.random.default_rng(1), width=4)
+        model.eval()
+        x = np.random.default_rng(0).standard_normal((4, 3, 8, 8))
+        x = x.astype(np.float32)
+        with no_grad():
+            expected = model(Tensor(x)).data
+        for _ in range(2):  # the first call also captures the tape
+            assert np.array_equal(replay_forward(model, _logits, {"x": x}),
+                                  expected)
 
     def test_one_capture_per_mode_and_input_shape(self):
         model = build_model("six_cnn", 10, input_shape=(3, 8, 8),
@@ -446,3 +505,224 @@ class TestModelTapes:
         model.zero_grad()
         assert len(pickle.dumps(model)) == before
         assert pickle.loads(pickle.dumps(model))._tapes == {}
+
+
+# ---------------------------------------------------------------------------
+# liveness: late readers, tapped slots and replay memory
+# ---------------------------------------------------------------------------
+
+
+def _three_readers(x, y, w1, w2, w3, s):
+    """``h`` is read by three nodes, the last of them four nodes later.
+
+    ``b`` is built before ``a`` so that dynamic autograd's depth-first
+    order sums ``h``'s three gradients in the tape's order (its readers
+    in reverse), which bit-identity needs.
+    """
+    h = (x @ w1).relu()
+    b = h * s
+    a = (h @ w2).relu()
+    logits = (a * b + h) @ w3
+    return F.cross_entropy(logits, y)
+
+
+def _conv_residual(x, y, w1, w2, w3):
+    """A residual block without batch norm: ``h`` skips a conv."""
+    h = F.conv2d(x, w1, padding=1).relu()
+    z = (F.conv2d(h, w2, padding=1) + h).relu()
+    return F.cross_entropy(z.reshape((x.shape[0], -1)) @ w3, y)
+
+
+#: name -> (graph, x shape, weight shapes)
+LATE_READERS = {
+    "three-readers": (_three_readers, (4, 6), [(6, 5), (5, 5), (5, 3), (5,)]),
+    "conv-residual": (_conv_residual, (2, 3, 4, 4),
+                      [(4, 3, 3, 3), (4, 4, 3, 3), (64, 3)]),
+}
+
+
+def _late_reader_sample(name, rng):
+    _, x_shape, shapes = LATE_READERS[name]
+    x = _f(rng, *x_shape)
+    y = rng.integers(0, 3, size=x_shape[0]).astype(np.int64)
+    return x, y, [_f(rng, *shape) for shape in shapes]
+
+
+def _late_reader_dynamic(name, x, y, weights):
+    """Loss, weight gradients and every intermediate of a dynamic run."""
+    graph = LATE_READERS[name][0]
+    leaves = [Tensor(w.copy(), requires_grad=True) for w in weights]
+    loss = graph(Tensor(x), Tensor(y, dtype=y.dtype), *leaves)
+    loss.backward()
+    return loss.data, [leaf.grad for leaf in leaves]
+
+
+def _late_reader_tape(name):
+    x, y, weights = _late_reader_sample(name, np.random.default_rng(0))
+    leaves = [Tensor(w, requires_grad=True) for w in weights]
+    xt, yt = Tensor(x), Tensor(y, dtype=y.dtype)
+    tape = GraphTape()
+    with tape.capture():
+        tape.add_input("x", xt)
+        tape.add_input("y", yt)
+        tape.set_output(LATE_READERS[name][0](xt, yt, *leaves))
+    leaf_index = {id(leaf): k for k, leaf in enumerate(leaves)}
+    return tape, [leaf_index[id(ps.ref)] for ps in tape.param_slots]
+
+
+class TestReplayLiveness:
+    def test_each_slot_dies_after_its_last_reader(self):
+        tape, _ = _late_reader_tape("three-readers")
+        h = tape.nodes[1].out_slot  # relu(x @ w1)
+        readers = [i for i, node in enumerate(tape.nodes) if h in node.arg_slots]
+        assert len(readers) == 3
+        released_at = [i for i, node in enumerate(tape.nodes)
+                       if h in node.releases]
+        assert released_at == [readers[-1]]
+        released = [s for node in tape.nodes for s in node.releases]
+        assert sorted(released) == sorted(
+            node.out_slot for node in tape.nodes
+            if node.out_slot != tape.output_slot
+        )
+        # every node here takes a parameter's gradient path
+        assert all(node.keeps_ctx for node in tape.nodes)
+
+    def test_nodes_off_the_gradient_path_keep_no_context(self):
+        """A detached branch's nodes get no gradient, so a gradient replay
+        keeps none of their contexts, and the gradients stay exact."""
+        rng = np.random.default_rng(5)
+        w_arr, x_arr = _f(rng, 3), _f(rng, 3)
+
+        def loss_of(w, x):
+            return (w * x).sum() + ((w * x).detach() * x).sum()
+
+        w = Tensor(w_arr.copy(), requires_grad=True)
+        x = Tensor(x_arr.copy())
+        tape = GraphTape()
+        with tape.capture():
+            tape.add_input("x", x)
+            tape.set_output(loss_of(w, x))
+        kept = [node.op.name for node in tape.nodes if node.keeps_ctx]
+        assert kept == ["mul", "sum", "add"]
+        w_dyn = Tensor(w_arr.copy(), requires_grad=True)
+        loss = loss_of(w_dyn, Tensor(x_arr.copy()))
+        loss.backward()
+        out, (grad,) = tape.replay_grad({"x": x_arr})
+        assert np.array_equal(out, loss.data)
+        assert np.array_equal(grad, w_dyn.grad)
+
+    @pytest.mark.parametrize("name", sorted(LATE_READERS))
+    def test_late_readers_replay_like_dynamic_autograd(self, name):
+        tape, slot_leaf = _late_reader_tape(name)
+        rng = np.random.default_rng(3)
+        samples = [_late_reader_sample(name, rng) for _ in range(3)]
+        for x, y, weights in samples:
+            loss, grads = _late_reader_dynamic(name, x, y, weights)
+            params = [weights[k] for k in slot_leaf]
+            assert np.array_equal(tape.replay({"x": x, "y": y}, params), loss)
+            out, replayed = tape.replay_grad({"x": x, "y": y}, params)
+            assert np.array_equal(out, loss)
+            for k, grad in zip(slot_leaf, replayed):
+                assert np.array_equal(grad, grads[k])
+        assert tape.batch_exact
+        out, stacked = tape.replay_grad_batched(
+            {"x": np.stack([x for x, _, _ in samples]),
+             "y": np.stack([y for _, y, _ in samples])},
+            [np.stack([w[k] for _, _, w in samples]) for k in slot_leaf],
+            len(samples),
+        )
+        for i, (x, y, weights) in enumerate(samples):
+            loss, grads = _late_reader_dynamic(name, x, y, weights)
+            assert np.array_equal(out[i], loss)
+            for k, grad in zip(slot_leaf, stacked):
+                assert np.array_equal(grad[i], grads[k])
+
+    def test_tapped_slots_survive_their_last_reader(self):
+        """Tapped intermediates come back whole, even one three later nodes
+        read and one that only its own consumer reads."""
+        tape, slot_leaf = _late_reader_tape("three-readers")
+        pre, h = tape.nodes[0].out_slot, tape.nodes[1].out_slot
+        x, y, weights = _late_reader_sample("three-readers",
+                                            np.random.default_rng(4))
+        leaves = [Tensor(w.copy(), requires_grad=True) for w in weights]
+        pre_t = Tensor(x) @ leaves[0]
+        h_t = pre_t.relu()
+        b = h_t * leaves[3]
+        a = (h_t @ leaves[1]).relu()
+        loss = F.cross_entropy((a * b + h_t) @ leaves[2], y)
+        loss.backward()
+        out, grads, values, tap_grads = tape.replay_grad_tapped(
+            {"x": x, "y": y}, [weights[k] for k in slot_leaf], taps=(pre, h)
+        )
+        assert np.array_equal(out, loss.data)
+        assert np.array_equal(values[pre], pre_t.data)
+        assert np.array_equal(values[h], h_t.data)
+        assert np.array_equal(tap_grads[pre], pre_t.grad)
+        assert np.array_equal(tap_grads[h], h_t.grad)
+        for k, grad in zip(slot_leaf, grads):
+            assert np.array_equal(grad, leaves[k].grad)
+
+
+def _peak_mb(fn) -> float:
+    """Peak traced allocation of ``fn()`` above its start, in MB; a first
+    call outside the measurement captures the tape."""
+    fn()
+    started = not tracemalloc.is_tracing()
+    if started:
+        tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        fn()
+        return (tracemalloc.get_traced_memory()[1] - base) / 1e6
+    finally:
+        if started:
+            tracemalloc.stop()
+
+
+def _sixcnn(training: bool):
+    model = build_model("six_cnn", 20, input_shape=(3, 16, 16),
+                        rng=np.random.default_rng(0))
+    model.train(training)
+    return model
+
+
+class TestReplayMemory:
+    """Peak allocation of SixCNN replays at 3x16x16, above the call's start.
+
+    Holding every activation and context for the whole replay read (MB):
+    forward 26.4 at batch 64; backward 10.6 at batch 16 and 5.5 at batch
+    8; a 16-client batch-8 batched replay 85.6, with the second conv's
+    input-gradient columns for all clients at once.  Liveness plus
+    one-client conv temporaries read 12.9, 7.3, 3.8 and 45.6.
+    """
+
+    def test_forward_replay_keeps_no_context(self):
+        model = _sixcnn(training=False)
+        x = np.random.default_rng(0).standard_normal((64, 3, 16, 16))
+        inputs = {"x": x.astype(np.float32)}
+        assert _peak_mb(lambda: replay_forward(model, _logits, inputs)) < 16.0
+
+    @pytest.mark.parametrize("batch,bound", [(16, 8.5), (8, 4.5)])
+    def test_backward_replay(self, batch, bound):
+        model = _sixcnn(training=True)
+        inputs = _batch(np.random.default_rng(0), batch, (3, 16, 16), 20)
+        assert _peak_mb(lambda: replay_backward(model, _masked_ce, inputs)) < bound
+
+    def test_batched_replay_of_16_clients(self):
+        model = _sixcnn(training=True)
+        rng = np.random.default_rng(0)
+        tape, order = model_tape(model, _masked_ce,
+                                 _batch(rng, 8, (3, 16, 16), 20))
+        params = model.parameters()
+        clients = 16
+        stacked = [np.stack([params[j].data] * clients) for j in order]
+        inputs = {
+            "x": rng.standard_normal((clients, 8, 3, 16, 16)).astype(np.float32),
+            "y": rng.integers(0, 5, size=(clients, 8)).astype(np.int64),
+            "mask": np.stack([np.arange(20) < 5] * clients),
+        }
+        peak = _peak_mb(
+            lambda: tape.replay_grad_batched(inputs, stacked, clients)
+        )
+        assert peak < 52.0
