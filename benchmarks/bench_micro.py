@@ -23,11 +23,7 @@ from repro.federated import (
     TrainConfig,
     create_trainer,
 )
-from repro.federated.batched import (
-    capture_client_tape,
-    train_chunk,
-    train_clients_batched,
-)
+from repro.federated.batched import train_chunk, train_clients_batched
 from repro.models import build_model
 from repro.nn import SGD, Tensor
 from repro.nn import functional as F
@@ -198,8 +194,8 @@ def test_socket_round_8c(benchmark, socket_engine):
 
 @pytest.fixture(scope="module")
 def round_64c():
-    """A 64-client fedavg population on the batched engine, with its
-    captured tape, on a dispatch-bound workload: small inputs and
+    """A 64-client fedavg population on the batched engine, its first
+    client's tape captured, on a dispatch-bound workload: small inputs and
     minibatches make per-replay python dispatch — not BLAS — the round's
     dominant cost, which is the regime the captured-tape engine exists
     for."""
@@ -214,18 +210,16 @@ def round_64c():
                              engine="batched")
     for client in batched.clients:
         client.begin_task(0)
-    tape, order = capture_client_tape(batched.clients[0])
-    train_chunk(batched.clients, 1, tape, order)  # warm the replay path
-    yield batched, tape, order
+    train_chunk(batched.clients, 1)  # capture the tape, warm the replay path
+    yield batched
     batched.close()
 
 
 def test_replayed_step(benchmark, round_64c):
     """One captured-graph replay + flat SGD step for a single client — the
     tape-engine counterpart of ``test_training_step``'s dynamic step."""
-    batched, tape, order = round_64c
-    client = batched.clients[0]
-    benchmark(lambda: train_chunk([client], 1, tape, order))
+    client = round_64c.clients[0]
+    benchmark(lambda: train_chunk([client], 1))
 
 
 def _seconds(fn) -> float:
@@ -249,17 +243,17 @@ def test_batched_round_64c(benchmark, round_64c):
     (so a drift in host speed weighs on both sides alike) reaches
     ``BATCHED_ROUND_BAR``; the FLOPs are identical, so the win is the
     dispatch the batch amortises."""
-    batched, _, _ = round_64c
+    batched = round_64c
     iterations = batched.config.iterations_per_round
-    tapes: dict = {}
 
     def round_in_chunks_of(size):
-        return lambda: train_clients_batched(
-            batched.clients, iterations, size, tapes
-        )
+        return lambda: train_clients_batched(batched.clients, iterations, size)
 
     one_client, one_chunk = round_in_chunks_of(1), round_in_chunks_of(None)
-    one_chunk()  # capture the tape both sides replay, and warm up
+    # one-client chunks capture a tape on every client model on first use;
+    # run each side once so no capture lands in a timed pair
+    one_client()
+    one_chunk()
     ratio, ratios = median_cpu_ratio(one_client, one_chunk, pairs=5)
     benchmark(one_chunk)
     assert ratio >= BATCHED_ROUND_BAR, (
@@ -282,11 +276,11 @@ def test_telemetry_overhead_64c(benchmark, round_64c):
     from repro.nn.graph import GraphTape
     from repro.obs import Telemetry
 
-    batched, tape, order = round_64c
+    batched = round_64c
     iterations = batched.config.iterations_per_round
 
     def batched_round():
-        train_chunk(batched.clients, iterations, tape, order)
+        train_chunk(batched.clients, iterations)
 
     def bare_round():
         with mock.patch.object(GraphTape, "_traced",

@@ -1,19 +1,15 @@
-"""Curvature estimation over the captured loss graph.
-
-Second-order loss geometry for the FedKNOW reproduction: diagonal Fisher
-(empirical and Monte-Carlo), the exact Gauss-Newton/Fisher diagonal, and
-per-layer K-FAC Kronecker factors — all computed by replaying a
-:class:`~repro.nn.graph.GraphTape` capture of the masked cross-entropy
-loss, so estimation rides the same zero-dispatch path as batched training.
+"""Signature-weight scoring for the FedKNOW reproduction.
 
 The consumer-facing seam is :class:`SignatureSelector`: pluggable scoring
 of signature-task weights for the knowledge extractor (``magnitude`` /
-``fisher`` / ``hybrid:<mix>``), selected per run via ``--selector``.
+``fisher`` / ``hybrid:<mix>``), selected per run via ``--selector``.  The
+only curvature estimate is the empirical Fisher diagonal
+(:func:`empirical_fisher_diagonal`), computed by replaying a batch-1
+masked cross-entropy tape captured on the live model; it varies with its
+``chunk`` only in float64 summation order.
 """
 
-from .fisher import empirical_fisher_diagonal, mc_fisher_diagonal
-from .hessian import gauss_newton_diagonal
-from .kfac import KFACFactor, kfac_factors
+from .fisher import empirical_fisher_diagonal
 from .selector import (
     SELECTOR_SPECS,
     FisherSelector,
@@ -22,19 +18,13 @@ from .selector import (
     SignatureSelector,
     create_selector,
 )
-from .tape import LossTape
 
 __all__ = [
     "SELECTOR_SPECS",
     "FisherSelector",
     "HybridSelector",
-    "KFACFactor",
-    "LossTape",
     "MagnitudeSelector",
     "SignatureSelector",
     "create_selector",
     "empirical_fisher_diagonal",
-    "gauss_newton_diagonal",
-    "kfac_factors",
-    "mc_fisher_diagonal",
 ]

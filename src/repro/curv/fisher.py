@@ -1,34 +1,29 @@
-"""Diagonal Fisher information estimators.
+"""The empirical diagonal Fisher information.
 
-Two standard flavours over the masked cross-entropy loss:
+``F_j = (1/N) sum_n (dL_n/dw_j)**2`` over the masked cross-entropy loss with
+the dataset's true labels — the squared gradients optimal-brain-damage
+saliencies use, and the ``fisher`` selector's importance estimate.
 
-* **empirical** — ``F_j = (1/N) sum_n (dL_n/dw_j)**2`` with the dataset's
-  true labels.  Cheap, and the right quantity for importance scoring
-  (optimal-brain-damage saliencies use exactly these squared gradients).
-* **Monte-Carlo** — labels sampled from the model's own masked predictive
-  softmax, giving an unbiased estimate of the true Fisher
-  ``E_{y~p(y|x)}[(d log p / dw)**2]``.
-
-Both replay a batch-1 :class:`~repro.curv.tape.LossTape` with the samples
-stacked along the batched client axis, so estimation costs roughly one
-batched training step per chunk.
+The per-sample gradients replay a batch-1 tape of the loss that
+:func:`~repro.nn.graph.model_tape` captures on the live model in eval mode
+and keeps there, so one capture serves every later estimate while training
+moves the weights and BN statistics.  Samples are stacked along the batched
+replay's client axis a chunk at a time, with the live weights broadcast
+across it (no copies; the replay only reads them), so an estimate costs
+roughly one batched training step per chunk.  Graphs with an op that has
+no batched form (batch norm) replay one sample at a time.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from ..utils.rng import get_rng
-from .tape import LossTape
+from ..nn import functional as F
+from ..nn.graph import model_tape
 
 
-def _masked_probs(model, x: np.ndarray, mask: np.ndarray) -> np.ndarray:
-    """Predictive softmax restricted to the task's classes, rows sum to 1."""
-    logits = model.logits(x).astype(np.float64)
-    masked = np.where(mask, logits, -np.inf)
-    masked -= masked.max(axis=1, keepdims=True)
-    exp = np.exp(masked)
-    return exp / exp.sum(axis=1, keepdims=True)
+def _masked_ce(model, x, y, mask):
+    return F.cross_entropy(model(x), y, class_mask=mask)
 
 
 def empirical_fisher_diagonal(
@@ -37,52 +32,57 @@ def empirical_fisher_diagonal(
     y: np.ndarray,
     class_mask: np.ndarray,
     chunk: int = 32,
-    tape: LossTape | None = None,
 ) -> np.ndarray:
     """Mean squared per-sample gradient at the true labels, flat float64.
 
-    The result is in canonical ``named_parameters`` order and is invariant
-    (up to float64 summation order) to any permutation of the samples.
+    The result is in canonical ``named_parameters`` order.  A permutation
+    of the samples, or another ``chunk``, changes it only through float64
+    summation order (the last bits).  The model's train/eval flags are
+    left as they were.
     """
     x = np.asarray(x)
     y = np.asarray(y)
     if len(y) == 0:
         raise ValueError("cannot estimate Fisher information from 0 samples")
-    if tape is None:
-        tape = LossTape(model, x[:1], y[:1], class_mask)
-    total = tape.squared_grad_sum(model, x, y, class_mask, chunk=chunk)
-    return total / len(y)
-
-
-def mc_fisher_diagonal(
-    model,
-    x: np.ndarray,
-    class_mask: np.ndarray,
-    num_samples: int = 1,
-    rng: np.random.Generator | None = None,
-    chunk: int = 32,
-    tape: LossTape | None = None,
-) -> np.ndarray:
-    """Monte-Carlo Fisher diagonal: labels drawn from the model's softmax."""
-    x = np.asarray(x)
-    if len(x) == 0:
-        raise ValueError("cannot estimate Fisher information from 0 samples")
-    if num_samples < 1:
-        raise ValueError(f"num_samples must be >= 1, got {num_samples}")
-    rng = get_rng(rng)
     mask = np.asarray(class_mask, dtype=bool)
-    probs = _masked_probs(model, x, mask)
-    # inverse-CDF sampling; clip guards the float edge where the cumulative
-    # sum lands just short of 1.0 and u falls past it
-    last_active = int(np.flatnonzero(mask).max())
-    cumulative = np.cumsum(probs, axis=1)
-    if tape is None:
-        y_ex = np.zeros((1,), dtype=np.int64)
-        tape = LossTape(model, x[:1], y_ex, mask)
-    total = np.zeros(tape.dim, dtype=np.float64)
-    for _ in range(num_samples):
-        u = rng.random((len(x), 1))
-        labels = (cumulative < u).sum(axis=1)
-        labels = np.minimum(labels, last_active).astype(tape.label_dtype)
-        total += tape.squared_grad_sum(model, x, labels, mask, chunk=chunk)
-    return total / (len(x) * num_samples)
+    modes = [(module, module.training) for module in model.modules()]
+    model.eval()
+    try:
+        tape, order = model_tape(
+            model, _masked_ce, {"x": x[:1], "y": y[:1], "mask": mask}
+        )
+    finally:
+        for module, training in modes:
+            module.training = training
+    params = model.parameters()
+    arrays = [params[j].data for j in order]
+    offsets = np.concatenate([[0], np.cumsum([p.data.size for p in params])])
+    slot_offsets = [int(offsets[j]) for j in order]
+    total = np.zeros(int(offsets[-1]), dtype=np.float64)
+    use_batched = not tape.batch_unsupported_ops()
+    step = max(1, int(chunk))
+    for start in range(0, len(y), step):
+        xb = x[start:start + step]
+        yb = y[start:start + step]
+        b = len(yb)
+        if use_batched and b > 1:
+            inputs = {
+                "x": xb[:, None],
+                "y": yb.reshape(b, 1),
+                "mask": np.broadcast_to(mask, (b,) + mask.shape),
+            }
+            stacked = [np.broadcast_to(a, (b,) + a.shape) for a in arrays]
+            _, grads = tape.replay_grad_batched(inputs, stacked, b)
+            for lo, g in zip(slot_offsets, grads):
+                if g is not None:
+                    flat = g.reshape(b, -1).astype(np.float64)
+                    total[lo:lo + flat.shape[1]] += (flat * flat).sum(axis=0)
+        else:
+            for i in range(b):
+                inputs = {"x": xb[i:i + 1], "y": yb[i:i + 1], "mask": mask}
+                _, grads = tape.replay_grad(inputs, arrays)
+                for lo, g in zip(slot_offsets, grads):
+                    if g is not None:
+                        flat = g.ravel().astype(np.float64)
+                        total[lo:lo + flat.size] += flat * flat
+    return total / len(y)

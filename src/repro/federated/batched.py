@@ -2,10 +2,11 @@
 
 One round of federated continual learning runs the same architecture for
 every participating client.  Instead of executing B independent dynamic
-autograd loops, this module captures the training graph **once** per
-(architecture, task shape) on a throwaway model copy, then replays it with
-every client's weights and minibatch stacked along a leading axis — one
-batched forward/backward per step (broadcast GEMMs inside
+autograd loops, each chunk of clients replays one training-loss tape that
+:func:`~repro.nn.graph.model_tape` captured on the chunk leader's live
+model (in train mode, on its first step as a leader, and kept on that
+model), with every client's weights and minibatch stacked along a leading
+axis — one batched forward/backward per step (broadcast GEMMs inside
 :mod:`repro.nn.functional`) followed by one flat SGD update on a ``(B, D)``
 weight buffer.
 
@@ -29,71 +30,11 @@ strategy keeps per-step state or rewrites gradients opt out via the
 
 from __future__ import annotations
 
-import pickle
-
 import numpy as np
 
 from ..data.loader import sample_batch
-from ..nn.graph import GraphTape
+from ..nn.graph import model_tape
 from ..nn.optim import sgd_update_flat
-from ..nn.tensor import Tensor
-
-
-def _tape_key(client) -> tuple:
-    """Cache key: everything the captured program's shape depends on."""
-    task = client.task
-    return (
-        type(client.model).__qualname__,
-        tuple(shape for _, shape in _named_shapes(client.model)),
-        type(client.strategy).__qualname__,
-        client.config.batch_size,
-        task.train_x.shape[1:],
-        str(task.train_x.dtype),
-        str(task.train_y.dtype),
-        task.class_mask().shape,
-    )
-
-
-def _named_shapes(model):
-    return [(name, p.data.shape) for name, p in model.named_parameters()]
-
-
-def capture_client_tape(client) -> tuple[GraphTape, list[int]]:
-    """Capture one client's training step as a static graph.
-
-    The capture runs on a pickle-roundtrip copy of the client's model so no
-    live state (parameters, BN buffers) is perturbed, with zero-filled
-    example arrays of the real minibatch shapes registered as tape inputs.
-    Returns the finalized tape plus the slot→parameter-index order (indices
-    into ``model.parameters()``, identical for every same-architecture
-    client).
-    """
-    model = pickle.loads(pickle.dumps(client.model))
-    model.train()
-    params = model.parameters()
-    task = client.task
-    bs = client.config.batch_size
-    x_ex = Tensor(np.zeros((bs,) + task.train_x.shape[1:], dtype=task.train_x.dtype))
-    y_ex = Tensor(
-        np.zeros((bs,), dtype=task.train_y.dtype), dtype=task.train_y.dtype
-    )
-    mask_arr = task.class_mask()
-    mask_ex = Tensor(mask_arr, dtype=mask_arr.dtype)
-    tape = GraphTape()
-    with tape.capture():
-        tape.add_input("x", x_ex)
-        tape.add_input("y", y_ex)
-        tape.add_input("mask", mask_ex)
-        loss = client.strategy.loss(model, x_ex, y_ex, mask_ex)
-        tape.set_output(loss)
-    if tape.num_params != len(params):
-        raise RuntimeError(
-            f"captured graph reaches {tape.num_params} of the model's "
-            f"{len(params)} parameters; batched execution requires every "
-            f"parameter in the graph — use a non-batched engine"
-        )
-    order = tape.bind_parameters(params)
-    return tape, order
 
 
 def _check_homogeneous(clients) -> None:
@@ -112,9 +53,11 @@ def _check_homogeneous(clients) -> None:
             )
 
 
-def train_chunk(clients, iterations: int, tape: GraphTape, order: list[int]) -> None:
+def train_chunk(clients, iterations: int) -> None:
     """Train up to B clients for ``iterations`` steps in one batched replay.
 
+    The replayed tape is ``clients[0].strategy.loss`` on one minibatch,
+    from :func:`~repro.nn.graph.model_tape` on that leader's live model.
     Leaves each client exactly as :meth:`SGDClient.local_train` would —
     updated weights, momentum, LR, iteration counter, compute units — and
     stashes the per-client stats dict on ``client._pending_batched_stats``
@@ -139,6 +82,18 @@ def train_chunk(clients, iterations: int, tape: GraphTape, order: list[int]) -> 
         if momentum:
             c.optimizer.velocity_to_flat(view, out=vbuf[i])
 
+    leader, task = clients[0], clients[0].task
+    tape, order = model_tape(leader.model, leader.strategy.loss, {
+        "xb": np.zeros((bs,) + task.train_x.shape[1:], dtype=np.float32),
+        "yb": np.zeros((bs,), dtype=task.train_y.dtype),
+        "class_mask": task.class_mask(),
+    })
+    if tape.num_params != len(view.shapes):
+        raise RuntimeError(
+            f"captured graph reaches {tape.num_params} of the model's "
+            f"{len(view.shapes)} parameters; batched execution requires "
+            f"every parameter in the graph — use a non-batched engine"
+        )
     stacked = [np.empty((b,) + shape, dtype=np.float32) for shape in view.shapes]
     slot_arrays = [stacked[j] for j in order]
     masks = np.stack([c.task.class_mask() for c in clients])
@@ -150,7 +105,7 @@ def train_chunk(clients, iterations: int, tape: GraphTape, order: list[int]) -> 
             xb, yb = sample_batch(c.task.train_x, c.task.train_y, bs, c.rng)
             xs.append(np.asarray(xb, dtype=np.float32))
             ys.append(yb)
-        inputs = {"x": np.stack(xs), "y": np.stack(ys), "mask": masks}
+        inputs = {"xb": np.stack(xs), "yb": np.stack(ys), "class_mask": masks}
         view.scatter_stacked(wbuf, stacked)
         out, grads = tape.replay_grad_batched(inputs, slot_arrays, b)
         for slot_i, j in enumerate(order):
@@ -180,26 +135,13 @@ def train_chunk(clients, iterations: int, tape: GraphTape, order: list[int]) -> 
 
 
 def train_clients_batched(
-    clients,
-    iterations: int,
-    batch_clients: int | None,
-    tape_cache: dict,
+    clients, iterations: int, batch_clients: int | None
 ) -> None:
-    """Train all ``clients`` in chunks of at most ``batch_clients``.
-
-    ``tape_cache`` maps :func:`_tape_key` to a captured ``(tape, order)``
-    pair; one capture per (architecture, task shape) serves every chunk and
-    every round.
-    """
+    """Train all ``clients`` in chunks of at most ``batch_clients``; each
+    chunk replays its leader's tape (see :func:`train_chunk`)."""
     clients = list(clients)
     if not clients:
         return
     chunk_size = batch_clients or len(clients)
     for start in range(0, len(clients), chunk_size):
-        chunk = clients[start : start + chunk_size]
-        key = _tape_key(chunk[0])
-        entry = tape_cache.get(key)
-        if entry is None:
-            entry = tape_cache[key] = capture_client_tape(chunk[0])
-        tape, order = entry
-        train_chunk(chunk, iterations, tape, order)
+        train_chunk(clients[start : start + chunk_size], iterations)

@@ -240,7 +240,6 @@ class BatchedRoundEngine(RoundEngine):
                 f"need at least one client per batch, got {batch_clients}"
             )
         self.batch_clients = batch_clients
-        self._tape_cache: dict = {}
 
     def rejects(self, method: str) -> str | None:
         from .registry import BATCH_SAFE_METHODS
@@ -264,9 +263,7 @@ class BatchedRoundEngine(RoundEngine):
         phase's ``prepare_batched`` hook)."""
         from .batched import train_clients_batched
 
-        train_clients_batched(
-            clients, iterations, self.batch_clients, self._tape_cache
-        )
+        train_clients_batched(clients, iterations, self.batch_clients)
 
 
 ENGINES: dict[str, type[RoundEngine]] = {

@@ -35,10 +35,15 @@ dropped right after its last reader runs, a node's VJP context is kept
 only when a gradient can reach the node and only until its VJP has run,
 and a forward-only replay keeps no context past its node.
 
-:func:`replay_backward` / :func:`replay_forward` run a loss (or forward)
-function of a live model as a replay of a tape captured on that model on
-first use (:func:`model_tape`) — the serial training steps' stand-in for
-``loss.backward()``.
+:func:`model_tape` is the one capture path for models: it captures
+``fn(model, **inputs)`` on the live model on first use and keeps the tape
+there; ``fn`` may be a module-level function or a bound method.  Three
+callers replay its tapes: :func:`replay_backward` / :func:`replay_forward`
+(FedKNOW's serial steps, the stand-in for ``loss.backward()``), the batched
+round engine (:mod:`repro.federated.batched`, the chunk leader's training
+loss) and the Fisher estimator (:mod:`repro.curv.fisher`, a batch-1
+eval-mode loss).  A gradient replay sums each slot's gradients in the
+order dynamic autograd does, so replayed training is bit-identical to it.
 """
 
 from __future__ import annotations
@@ -351,17 +356,35 @@ class GraphTape:
         for slot, i in last_read.items():
             if slot != self.output_slot:
                 releases[i].append(slot)
+        for node, released in zip(self.nodes, releases):
+            node.releases = tuple(released)
         # the backward sweep runs a node's VJP only when a gradient reached
         # its output and one of its arguments needs one; no other node's
-        # context is worth keeping
-        reached = np.zeros(self.num_slots, dtype=bool)
-        reached[self.output_slot] = True
-        for node, released in zip(reversed(self.nodes), reversed(releases)):
-            node.releases = tuple(released)
-            node.keeps_ctx = bool(reached[node.out_slot]) and any(node.grad_mask)
-            if node.keeps_ctx:
-                for s, need in zip(node.arg_slots, node.grad_mask):
-                    reached[s] |= need
+        # context is worth keeping.  It visits those nodes in the order
+        # Tensor.backward does -- the reversed depth-first post-order from
+        # the output over arguments that need a gradient -- so a slot read
+        # three or more times sums its gradients in the same order.
+        producer = {node.out_slot: i for i, node in enumerate(self.nodes)}
+        post: list[int] = []
+        seen: set[int] = set()
+        stack = [(self.output_slot, False)]
+        while stack:
+            slot, expanded = stack.pop()
+            i = producer.get(slot)
+            if expanded:
+                post.append(i)
+                continue
+            if slot in seen or i is None or not any(self.nodes[i].grad_mask):
+                continue
+            seen.add(slot)
+            stack.append((slot, True))
+            node = self.nodes[i]
+            for s, need in zip(node.arg_slots, node.grad_mask):
+                if need and s not in seen:
+                    stack.append((s, False))
+        for i in post:
+            self.nodes[i].keeps_ctx = True
+        self._backward_order = post[::-1]
         self._slot_needs = needs
         self._finalized = True
         # slots are resolved: holding the capture-time tensors any longer
@@ -375,10 +398,6 @@ class GraphTape:
     @property
     def num_params(self) -> int:
         return len(self.param_slots)
-
-    @property
-    def param_shapes(self) -> list[tuple[int, ...]]:
-        return [ps.shape for ps in self.param_slots]
 
     @property
     def batch_exact(self) -> bool:
@@ -407,7 +426,6 @@ class GraphTape:
                     "captured parameter not found in the bound parameter list"
                 )
             order.append(idx)
-        self._bound_order = order
         return order
 
     # ------------------------------------------------------------------
@@ -473,16 +491,16 @@ class GraphTape:
             values[ps.slot] = arr
         return values
 
-    def _forward(self, values, grad: bool = False, batch: int | None = None,
-                 keep=()) -> list | None:
+    def _forward(self, values, grad: bool = False,
+                 batch: int | None = None) -> list | None:
         """Run every node in order, filling ``values`` (one entry per slot).
 
-        Each produced slot is dropped once its last reader has run, unless
-        it is in ``keep``; the output and the leaves stay.  With ``grad``,
-        returns one VJP context per node, ``None`` where no gradient can
-        reach the node; without it, no context outlives its node.  With a
-        ``batch``, nodes whose arguments carry the client axis run their
-        ``batched_forward``.  Active OpTimers get each op's wall time.
+        Each produced slot is dropped once its last reader has run; the
+        output and the leaves stay.  With ``grad``, returns one VJP context
+        per node, ``None`` where no gradient can reach the node; without
+        it, no context outlives its node.  With a ``batch``, nodes whose
+        arguments carry the client axis run their ``batched_forward``.
+        Active OpTimers get each op's wall time.
         """
         ctxs = [None] * len(self.nodes) if grad else None
         timers = _profiler._timers
@@ -504,8 +522,7 @@ class GraphTape:
             else:
                 values[node.out_slot] = fn(ctx, *args, **node.params)
             for s in node.releases:
-                if s not in keep:
-                    values[s] = None
+                values[s] = None
             if grad and node.keeps_ctx:
                 ctxs[i] = ctx
         return ctxs
@@ -538,11 +555,11 @@ class GraphTape:
         self._forward(values)
         return values[self.output_slot]
 
-    def _backward(self, out_value, ctxs, seed, batched=False, taps=(),
-                  tap_grads=None):
-        """The reverse sweep from ``out_value``; returns the gradients left
-        on leaf slots.  Each context in ``ctxs`` is dropped as its node is
-        passed, so the sweep frees the forward's buffers as it goes."""
+    def _backward(self, out_value, ctxs, seed, batched=False):
+        """The reverse sweep from ``out_value``, in dynamic autograd's node
+        order; returns the gradients left on leaf slots.  Each context in
+        ``ctxs`` is dropped as its node is passed, so the sweep frees the
+        forward's buffers as it goes."""
         if seed is None:
             seed = np.ones_like(out_value)
         grads: dict[int, np.ndarray] = {
@@ -551,14 +568,10 @@ class GraphTape:
         needs = self._slot_needs
         timers = _profiler._timers
         perf = time.perf_counter
-        for i in range(len(self.nodes) - 1, -1, -1):
+        for i in self._backward_order:
             node = self.nodes[i]
             ctx, ctxs[i] = ctxs[i], None
             g = grads.pop(node.out_slot, None)
-            if taps and g is not None and node.out_slot in taps:
-                # the popped gradient is fully accumulated here (all consumers
-                # sit later in the node list, so they were already processed)
-                tap_grads[node.out_slot] = g
             if g is None or ctx is None:
                 continue
             vjp = node.op.vjp
@@ -611,50 +624,6 @@ class GraphTape:
         grads = self._backward(out, ctxs, seed)
         return out, [grads.get(ps.slot) for ps in self.param_slots]
 
-    def replay_grad_tapped(
-        self,
-        inputs: Mapping[str, np.ndarray],
-        params=None,
-        seed: np.ndarray | None = None,
-        taps: Sequence[int] = (),
-    ) -> tuple[np.ndarray, list[np.ndarray | None],
-               dict[int, np.ndarray], dict[int, np.ndarray]]:
-        """Forward + backward replay that also surfaces tapped slots.
-
-        ``taps`` names slot ids whose forward value and backward gradient
-        the caller wants alongside the parameter gradients (curvature
-        estimators read layer activations and pre-activation gradients this
-        way).  Returns ``(output, param_grads, tap_values, tap_grads)``;
-        a tapped slot is absent from ``tap_grads`` when no gradient reached
-        it.  Tapping does not perturb the replayed arithmetic.
-        """
-        return self._traced(
-            "tapped",
-            lambda: self._replay_grad_tapped(inputs, params, seed, taps),
-        )
-
-    def _replay_grad_tapped(self, inputs, params, seed, taps):
-        self._check_finalized()
-        tap_set = set(taps)
-        values = self._fill_values(inputs, self._param_arrays(params), None)
-        ctxs = self._forward(values, grad=True, keep=tap_set)
-        out = values[self.output_slot]
-        tap_grads: dict[int, np.ndarray] = {}
-        grads = self._backward(out, ctxs, seed, taps=tap_set,
-                               tap_grads=tap_grads)
-        # leaf slots (params/inputs) are never popped by a node; read their
-        # fully-accumulated gradients from the residual dict
-        for slot in tap_set:
-            if slot not in tap_grads and slot in grads:
-                tap_grads[slot] = grads[slot]
-        tap_values = {slot: values[slot] for slot in tap_set}
-        return (
-            out,
-            [grads.get(ps.slot) for ps in self.param_slots],
-            tap_values,
-            tap_grads,
-        )
-
     # ------------------------------------------------------------------
     # batched replay
     # ------------------------------------------------------------------
@@ -704,11 +673,16 @@ def model_tape(
 
     One tape per (every module's train/eval flag, ``fn``, input shapes and
     dtypes), captured on first use and kept on the model instance, which
-    never pickles it (see ``Module.__getstate__``); ``fn`` should be a
-    module-level function, since each function object is its own key.  The
-    capture runs ``fn`` once without building a backward graph and then
-    puts back every module buffer, so a train-mode capture does not advance
-    BN running statistics.  Replays read the model's parameters and update
+    never pickles it (see ``Module.__getstate__``).  ``fn`` may be a
+    module-level function or a bound method such as ``strategy.loss``:
+    bound methods of one object compare equal, so each finds its tape
+    again, while every other function object is its own key.  Parameter
+    shapes are not part of the key: nothing in this package reassigns a
+    parameter after construction, and a replay given parameter arrays of
+    another shape raises ``GraphTape invalidated``.  The capture runs
+    ``fn`` once without building a backward graph and then puts back
+    every module buffer, so a train-mode capture does not advance BN
+    running statistics.  Replays read the model's parameters and update
     its BN buffers in place, as the dynamic ops do.  Returns the tape and
     its slot -> ``model.parameters()`` index order.
     """

@@ -322,12 +322,23 @@ def _align_batched(ctx, arrays):
 
 
 def _binary_grads(ctx, raw_a, raw_b):
-    """Unbroadcast batched binary-op grads back to the runtime arg shapes."""
-    (s0, s1) = ctx["shapes"]
-    (a0, a1) = ctx["ashapes"]
-    ga = _unbroadcast(raw_a, a0).reshape(s0) if raw_a is not None else None
-    gb = _unbroadcast(raw_b, a1).reshape(s1) if raw_b is not None else None
-    return ga, gb
+    """Unbroadcast batched binary-op grads back to the runtime arg shapes.
+
+    A batched argument's gradient is summed as the unbatched op's
+    ``_unbroadcast`` sums it, per client: first the leading axes the op
+    broadcast it over, then its size-1 axes, so each slice rounds alike.
+    """
+    out_ndim = ctx["out_ndim"]
+    grads = []
+    for raw, shape, batched in zip((raw_a, raw_b), ctx["shapes"],
+                                   ctx["arg_batched"]):
+        if raw is not None:
+            extra = out_ndim - (len(shape) - 1)
+            if batched and extra > 0:
+                raw = raw.sum(axis=tuple(range(1, extra + 1)))
+            raw = _unbroadcast(raw, shape)
+        grads.append(raw)
+    return tuple(grads)
 
 
 # ----------------------------------------------------------------------
@@ -350,7 +361,6 @@ def _add_vjp(ctx, g):
 def _add_bfwd(ctx, a, b):
     a2, b2 = _align_batched(ctx, (a, b))
     ctx["shapes"] = (a.shape, b.shape)
-    ctx["ashapes"] = (a2.shape, b2.shape)
     return a2 + b2
 
 
@@ -393,7 +403,6 @@ def _sub_vjp(ctx, g):
 def _sub_bfwd(ctx, a, b):
     a2, b2 = _align_batched(ctx, (a, b))
     ctx["shapes"] = (a.shape, b.shape)
-    ctx["ashapes"] = (a2.shape, b2.shape)
     return a2 - b2
 
 
@@ -426,7 +435,6 @@ def _mul_vjp(ctx, g):
 def _mul_bfwd(ctx, a, b):
     a2, b2 = _align_batched(ctx, (a, b))
     ctx["shapes"] = (a.shape, b.shape)
-    ctx["ashapes"] = (a2.shape, b2.shape)
     ctx["a"], ctx["b"] = a2, b2
     return a2 * b2
 
@@ -465,7 +473,6 @@ def _div_vjp(ctx, g):
 def _div_bfwd(ctx, a, b):
     a2, b2 = _align_batched(ctx, (a, b))
     ctx["shapes"] = (a.shape, b.shape)
-    ctx["ashapes"] = (a2.shape, b2.shape)
     ctx["a"], ctx["b"] = a2, b2
     return a2 / b2
 

@@ -7,6 +7,8 @@ engine's contracts:
   the same accuracy matrix, global state and round accounting as the
   serial reference, across participation policies, scenario families and
   momentum;
+* **one capture per chunk leader** — each chunk replays the tape its
+  leader's live model captured on its first step as a leader;
 * **batch safety** — methods whose local step is not a pure
   loss→backward→SGD update are rejected up front, both by the trainer and
   by the registry-derived ``BATCH_SAFE_METHODS``;
@@ -31,7 +33,7 @@ from repro.federated import (
     create_trainer,
     create_transport,
 )
-from repro.federated.batched import capture_client_tape, train_chunk
+from repro.federated.batched import train_chunk
 from repro.serve import SocketRoundEngine
 
 
@@ -160,6 +162,27 @@ class TestBatchedBitIdentity:
 
 
 # ----------------------------------------------------------------------
+# tape capture
+# ----------------------------------------------------------------------
+class TestLeaderTapes:
+    @pytest.mark.parametrize("engine,tapes", [
+        ("batched:2", [1, 0, 1, 0]),
+        ("batched", [1, 0, 0, 0]),
+    ])
+    def test_one_capture_per_chunk_leader(self, spec, config, engine, tapes):
+        """Each chunk replays a tape captured once on its leader's live
+        model, across every round and task; a capture per call would pass
+        every bit-identity test and only cost time."""
+        bench = create_scenario("class-inc").build(
+            spec, num_clients=4, rng=np.random.default_rng(0)
+        )
+        with create_trainer("fedavg", bench, config, engine=engine) as trainer:
+            result = trainer.run()
+            assert len(result.rounds) == 4  # 2 tasks x 2 rounds
+            assert [len(c.model._tapes) for c in trainer.clients] == tapes
+
+
+# ----------------------------------------------------------------------
 # batch safety
 # ----------------------------------------------------------------------
 class TestBatchSafety:
@@ -183,9 +206,8 @@ class TestBatchSafety:
             for client in trainer.clients:
                 client.begin_task(0)
             trainer.clients[1].optimizer.momentum = 0.9
-            tape, order = capture_client_tape(trainer.clients[0])
             with pytest.raises(ValueError, match="homogeneous"):
-                train_chunk(trainer.clients, 1, tape, order)
+                train_chunk(trainer.clients, 1)
         finally:
             trainer.close()
 

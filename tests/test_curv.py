@@ -1,4 +1,4 @@
-"""Tests for the curvature subsystem: Fisher/GGN/K-FAC estimators, the
+"""Tests for the curvature subsystem: the empirical Fisher estimator, the
 pluggable signature selector seam, and the fedvb variational-Bayes method.
 
 The estimator properties are pinned with hypothesis: non-negativity and
@@ -11,6 +11,8 @@ indices and a full training run's accuracy matrix.
 
 from __future__ import annotations
 
+import pickle
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -20,18 +22,14 @@ from repro.curv import (
     SELECTOR_SPECS,
     FisherSelector,
     HybridSelector,
-    LossTape,
     MagnitudeSelector,
     SignatureSelector,
     create_selector,
     empirical_fisher_diagonal,
-    gauss_newton_diagonal,
-    kfac_factors,
-    mc_fisher_diagonal,
 )
 from repro.models import build_model
 from repro.nn import functional as F
-from repro.nn.tensor import Tensor
+from repro.nn.tensor import Tensor, no_grad
 
 NUM_CLASSES = 8
 INPUT_SHAPE = (3, 8, 8)
@@ -135,91 +133,32 @@ class TestEmpiricalFisher:
             empirical_fisher_diagonal(model, x[:0], y[:0], mask)
 
     def test_tape_reuse_tracks_live_weights(self):
-        """One captured tape serves the model even after weights move."""
-        model = small_model(6)
-        x, y, mask = make_batch(7, 4)
-        tape = LossTape(model, x[:1], y[:1], mask)
-        before = empirical_fisher_diagonal(model, x, y, mask, tape=tape)
-        for _, p in model.named_parameters():
-            p.data[...] += 0.05
-        after = empirical_fisher_diagonal(model, x, y, mask, tape=tape)
-        fresh = empirical_fisher_diagonal(model, x, y, mask)
-        np.testing.assert_allclose(after, fresh, rtol=1e-6, atol=1e-12)
-        assert not np.allclose(before, after)
-
-
-class TestMCFisherAndGaussNewton:
-    @given(st.integers(0, 200))
-    @settings(max_examples=6)
-    def test_mc_fisher_non_negative(self, seed):
-        model = small_model(0)
-        x, _, mask = make_batch(seed, 4)
-        fisher = mc_fisher_diagonal(
-            model, x, mask, rng=np.random.default_rng(seed)
-        )
-        assert np.isfinite(fisher).all()
-        assert (fisher >= 0).all()
-
-    def test_ggn_deterministic_and_non_negative(self):
-        model = small_model(1)
-        x, _, mask = make_batch(3, 4)
-        first = gauss_newton_diagonal(model, x, mask)
-        second = gauss_newton_diagonal(model, x, mask)
-        assert (first >= 0).all()
-        np.testing.assert_array_equal(first, second)
-
-    def test_ggn_is_mc_fisher_expectation(self):
-        """GGN sums the class expectation MC sampling only approximates, so
-        a long MC run must converge toward it."""
-        model = small_model(2)
-        x, _, mask = make_batch(5, 3)
-        ggn = gauss_newton_diagonal(model, x, mask)
-        mc = mc_fisher_diagonal(
-            model, x, mask, num_samples=400, rng=np.random.default_rng(0)
-        )
-        top = np.argsort(ggn)[-50:]  # compare where there is signal
-        np.testing.assert_allclose(mc[top], ggn[top], rtol=0.35)
-
-
-# ----------------------------------------------------------------------
-# K-FAC factors
-# ----------------------------------------------------------------------
-class TestKFAC:
-    def test_factor_shapes_symmetry_psd(self):
-        model = small_model(0)
-        x, y, mask = make_batch(1, 4)
-        factors = kfac_factors(model, x, y, mask)
-        named = dict(model.named_parameters())
-        assert {f.op for f in factors} == {"matmul", "conv2d"}
-        assert len(factors) == 6  # 4 convs + neck + classifier
-        for factor in factors:
-            weight = named[factor.name]
-            assert factor.weight_shape == weight.data.shape
-            for moment in (factor.a, factor.g):
-                np.testing.assert_allclose(moment, moment.T, atol=1e-12)
-                eigenvalues = np.linalg.eigvalsh(moment)
-                assert eigenvalues.min() >= -1e-10
-            importance = factor.diagonal_importance()
-            assert importance.shape == weight.data.shape
-            assert (importance >= -1e-15).all()
-
-    def test_single_sample_matmul_diagonal_exact(self):
-        """B=1: a matmul layer's Kronecker diagonal equals the empirical
-        Fisher diagonal of its weight — ``(g_o a_i)**2 = A_ii G_oo``."""
-        model = small_model(4)
-        x, y, mask = make_batch(8, 1)
-        factors = {f.name: f for f in kfac_factors(model, x, y, mask)}
-        fisher = empirical_fisher_diagonal(model, x, y, mask)
-        offset = 0
-        for name, param in model.named_parameters():
-            size = param.data.size
-            if name in factors and factors[name].op == "matmul":
-                block = fisher[offset:offset + size].reshape(param.data.shape)
-                importance = factors[name].diagonal_importance()
-                np.testing.assert_allclose(
-                    importance, block, rtol=1e-6, atol=1e-14
-                )
-            offset += size
+        """The tape captured on the model serves it after its weights and
+        BN statistics move: SixCNN on the batched per-sample replay,
+        ResNet-18 (batch norm) on the serial one.  The estimate equals a
+        fresh copy's bit for bit, and no module's train/eval flag moves."""
+        for name in ("six_cnn", "resnet18"):
+            model = build_model(
+                name, NUM_CLASSES, input_shape=INPUT_SHAPE,
+                rng=np.random.default_rng(6), width=2,
+            )
+            x, y, mask = make_batch(7, 4)
+            model.train()
+            list(model.modules())[1].eval()  # flags need not agree
+            modes = [m.training for m in model.modules()]
+            before = empirical_fisher_diagonal(model, x, y, mask, chunk=3)
+            for _, p in model.named_parameters():
+                p.data[...] += 0.05
+            with no_grad():
+                model(Tensor(x))  # a train-mode forward moves BN statistics
+            after = empirical_fisher_diagonal(model, x, y, mask, chunk=3)
+            fresh = empirical_fisher_diagonal(
+                pickle.loads(pickle.dumps(model)), x, y, mask, chunk=3
+            )
+            np.testing.assert_array_equal(after, fresh)
+            assert not np.allclose(before, after)
+            assert len(model._tapes) == 1
+            assert [m.training for m in model.modules()] == modes
 
 
 # ----------------------------------------------------------------------
