@@ -6,7 +6,8 @@ codec (encode / decode / top-k sparsification) and the streaming FedAvg
 aggregator on a model-sized state dict, normalizes each timing by a
 machine-calibration workload (so the recorded baselines transfer across CI
 runners of different speeds), and fails when any hot path regresses more
-than ``THRESHOLD`` x against ``baselines.json``.
+than ``THRESHOLD`` x against ``baselines.json``.  Run as a script, it pins
+the BLAS thread pools to one thread (``BLAS_PIN``) before numpy loads.
 
 Usage::
 
@@ -20,10 +21,24 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 import time
 from pathlib import Path
 from unittest import mock
+
+#: BLAS thread pools size themselves when numpy loads, so a gate run pins
+#: them to one thread before that, as ``benchmarks/e2e`` pins its runs.
+#: Unpinned, the gate's BLAS threads contend with any other busy process:
+#: beside a running e2e benchmark on a 2-vCPU host ``fisher_select_64c``
+#: read 3.3x its baseline, against 0.6-0.9x on a quiet host.
+BLAS_PIN = {
+    "OPENBLAS_NUM_THREADS": "1",
+    "OMP_NUM_THREADS": "1",
+    "MKL_NUM_THREADS": "1",
+}
+if __name__ == "__main__":
+    os.environ.update(BLAS_PIN)
 
 import numpy as np
 

@@ -1,10 +1,24 @@
-"""Legacy setup shim.
+"""Packaging for ``repro``, the FedKNOW reproduction under ``src/``.
 
-This environment is offline and has no ``wheel`` package, so PEP 517 editable
-installs cannot build; keeping a ``setup.py`` lets ``pip install -e .`` use the
-legacy ``setup.py develop`` path.  All metadata lives in ``pyproject.toml``.
+There is no ``pyproject.toml``: the metadata is here, and the version is
+read from ``src/repro/__init__.py``.  The only runtime dependency is numpy.
 """
 
-from setuptools import setup
+import re
+from pathlib import Path
 
-setup()
+from setuptools import find_packages, setup
+
+INIT = Path(__file__).resolve().parent / "src" / "repro" / "__init__.py"
+VERSION = re.search(r'^__version__ = "([^"]+)"', INIT.read_text(), re.M).group(1)
+
+setup(
+    name="repro",
+    version=VERSION,
+    description="FedKNOW (ICDE 2023) reproduction on a numpy-only "
+                "deep-learning substrate",
+    package_dir={"": "src"},
+    packages=find_packages("src"),
+    python_requires=">=3.11",
+    install_requires=["numpy"],
+)

@@ -14,7 +14,10 @@ Every gradient step — the local step, the restorer's passes, the
 receive-phase probe and fine-tune, and the extraction fine-tune — replays a
 graph tape captured on the model it trains (:mod:`repro.nn.graph`); gradient
 integration and the extraction mask rewrite the replayed gradients before
-the ordinary optimiser step.
+the ordinary optimiser step.  A local step replays the live model's forward
+once where the restorer's gate allows it: the task gradient and each
+restored gradient pull back through that one forward
+(:class:`~repro.core.restorer.LiveForward`).
 """
 
 from __future__ import annotations
@@ -35,7 +38,7 @@ from .config import FedKnowConfig
 from .distance import select_signature_tasks
 from .integrator import GradientIntegrator
 from .knowledge import KnowledgeExtractor, KnowledgeStore, task_loss_backward
-from .restorer import GradientRestorer
+from .restorer import GradientRestorer, LiveForward
 
 
 class FedKnowClient(FederatedClient):
@@ -78,29 +81,30 @@ class FedKnowClient(FederatedClient):
     # ------------------------------------------------------------------
     # signature selection
     # ------------------------------------------------------------------
-    def _signature_entries(self, current_grad: np.ndarray, inputs: np.ndarray):
-        """The retained-knowledge entries acting as this iteration's constraints."""
+    def _signature_gradients(self, current_grad: np.ndarray, inputs: np.ndarray,
+                             forward: LiveForward | None) -> np.ndarray:
+        """The step's restored gradients (through ``forward`` if any): all
+        m while m <= k, else the k signature tasks', which a due refresh
+        picks by restoring all m and keeping the k most dissimilar."""
         k = self.fedknow.num_signature_gradients
-        if len(self.store) <= k:
-            return list(self.store)
-        refresh_due = (
+        entries = list(self.store)
+        refresh = len(entries) > k and (
             self._signature_indices is None
             or self._iterations_since_refresh >= self.fedknow.signature_refresh
         )
-        if refresh_due:
-            all_grads = self.restorer.restore_gradients(
-                self.model, list(self.store), inputs
-            )
-            self.add_compute(float(len(self.store)))
+        if len(entries) > k and not refresh:
+            entries = [entries[i] for i in self._signature_indices]
+        grads = self.restorer.restore_gradients(self.model, entries, inputs,
+                                                forward)
+        self.add_compute(float(len(entries)))
+        if refresh:
             self._signature_indices = select_signature_tasks(
-                current_grad, all_grads, k, metric=self.fedknow.distance_metric
+                current_grad, grads, k, metric=self.fedknow.distance_metric
             )
             self._iterations_since_refresh = 0
-            # reuse the gradients we just computed
-            self._cached_signature_grads = all_grads[self._signature_indices]
-            return [self.store[i] for i in self._signature_indices]
-        self._cached_signature_grads = None
-        return [self.store[i] for i in self._signature_indices]
+            grads = grads[self._signature_indices]
+        self._iterations_since_refresh += 1
+        return grads
 
     # ------------------------------------------------------------------
     # training
@@ -115,26 +119,23 @@ class FedKnowClient(FederatedClient):
             xb, yb = sample_batch(
                 self.task.train_x, self.task.train_y, self.config.batch_size, self.rng
             )
-            loss = task_loss_backward(self.model, xb, yb, mask)
+            # one replayed forward for the task gradient and every restored
+            # gradient, where the restorer's gate allows it
+            forward = self.restorer.live_forward(self.model, xb)
+            if forward is None:
+                loss = task_loss_backward(self.model, xb, yb, mask)
+            else:
+                loss = float(forward.backward("cross_entropy", np.asarray(yb), mask))
             self.add_compute(1.0)
-            current = gradients_to_vector(self.model.parameters())
             if len(self.store) > 0:
-                entries = self._signature_entries(current, xb)
-                self._iterations_since_refresh += 1
-                cached = getattr(self, "_cached_signature_grads", None)
-                if cached is not None:
-                    signature_grads = cached
-                    self._cached_signature_grads = None
-                else:
-                    signature_grads = self.restorer.restore_gradients(
-                        self.model, entries, xb
-                    )
-                    self.add_compute(float(len(entries)))
+                current = gradients_to_vector(self.model.parameters())
+                signature_grads = self._signature_gradients(current, xb, forward)
                 result = self.integrator.integrate(current, signature_grads)
                 self.integration_stats["integrations"] += 1
                 if result.rotated:
                     self.integration_stats["rotations"] += 1
                 vector_to_gradients(result.gradient, self.model.parameters())
+            forward = None  # its contexts go before the next step's forward
             self.global_iteration += 1
             self.optimizer.set_lr(self._schedule(self.global_iteration))
             self.optimizer.step()

@@ -37,11 +37,13 @@ and a forward-only replay keeps no context past its node.
 
 :func:`model_tape` is the one capture path for models: it captures
 ``fn(model, **inputs)`` on the live model on first use and keeps the tape
-there; ``fn`` may be a module-level function or a bound method.  Three
+there; ``fn`` may be a module-level function or a bound method.  Four
 callers replay its tapes: :func:`replay_backward` / :func:`replay_forward`
-(FedKNOW's serial steps, the stand-in for ``loss.backward()``), the batched
-round engine (:mod:`repro.federated.batched`, the chunk leader's training
-loss) and the Fisher estimator (:mod:`repro.curv.fisher`, a batch-1
+(FedKNOW's serial steps, the stand-in for ``loss.backward()``), FedKNOW's
+shared step forward (:mod:`repro.core.restorer`, one
+:meth:`GraphTape.replay_vjp` of the logits pulled back once per loss head),
+the batched round engine (:mod:`repro.federated.batched`, the chunk leader's
+training loss) and the Fisher estimator (:mod:`repro.curv.fisher`, a batch-1
 eval-mode loss).  A gradient replay sums each slot's gradients in the
 order dynamic autograd does, so replayed training is bit-identical to it.
 """
@@ -530,12 +532,13 @@ class GraphTape:
     def _traced(self, kind: str, body, **attrs):
         """Run one replay ``body`` under telemetry accounting.
 
-        The replay counter is always bumped; when tracing is on the body
-        runs inside a ``tape_replay`` span with an active
+        Every replay but a pullback bumps the replay counter; when tracing
+        is on the body runs inside a ``tape_replay`` span with an active
         :class:`~repro.nn.profiler.OpTimer`, whose per-op wall-clock
         summary is folded into the span's attributes.
         """
-        _TAPE_REPLAYS.inc()
+        if kind != "pullback":  # a pullback sweeps an already counted replay
+            _TAPE_REPLAYS.inc()
         tracer = _obs_trace.TRACER
         if not tracer.enabled:
             return body()
@@ -617,12 +620,31 @@ class GraphTape:
         )
 
     def _replay_grad(self, inputs, params, seed):
+        out, ctxs = self._replay_vjp(inputs, params)
+        grads = self._backward(out, ctxs, seed)
+        return out, [grads.get(ps.slot) for ps in self.param_slots]
+
+    def replay_vjp(self, inputs: Mapping[str, np.ndarray], params=None):
+        """Forward replay keeping its VJP contexts: ``(output, pullback)``,
+        the shape of JAX's ``vjp``.  ``pullback(seed)`` sweeps the output
+        cotangent ``seed`` back as :meth:`replay_grad` does, on a copy of the
+        context list, and returns one gradient per param slot; it may run
+        any number of times, and the contexts live as long as it does."""
+        out, ctxs = self._traced("vjp", lambda: self._replay_vjp(inputs, params))
+
+        def pullback(seed: np.ndarray) -> list[np.ndarray | None]:
+            grads = self._traced(
+                "pullback", lambda: self._backward(out, list(ctxs), seed)
+            )
+            return [grads.get(ps.slot) for ps in self.param_slots]
+
+        return out, pullback
+
+    def _replay_vjp(self, inputs, params):
         self._check_finalized()
         values = self._fill_values(inputs, self._param_arrays(params), None)
         ctxs = self._forward(values, grad=True)
-        out = values[self.output_slot]
-        grads = self._backward(out, ctxs, seed)
-        return out, [grads.get(ps.slot) for ps in self.param_slots]
+        return values[self.output_slot], ctxs
 
     # ------------------------------------------------------------------
     # batched replay
@@ -730,6 +752,13 @@ def replay_backward(model, fn: Callable, inputs: Mapping[str, np.ndarray]):
     """
     tape, order = model_tape(model, fn, inputs)
     out, grads = tape.replay_grad(inputs)
+    set_grads(model, order, grads)
+    return out
+
+
+def set_grads(model, order: Sequence[int], grads) -> None:
+    """Leave a replay's per-slot gradients (``order`` from :func:`model_tape`)
+    in ``param.grad``: a fresh array per parameter reached, ``None`` elsewhere."""
     params = model.parameters()
     for param in params:
         param.grad = None
@@ -737,4 +766,3 @@ def replay_backward(model, fn: Callable, inputs: Mapping[str, np.ndarray]):
         if grad is not None:
             param = params[index]
             param.grad = grad.astype(param.data.dtype, copy=True)
-    return out

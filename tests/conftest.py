@@ -2,9 +2,12 @@
 
 from __future__ import annotations
 
+import contextlib
+import fnmatch
 import glob
 import multiprocessing
 import os
+import tempfile
 import time
 
 import numpy as np
@@ -29,8 +32,37 @@ settings.load_profile("repro")
 CHILD_GRACE_SECONDS = 3.0
 
 
+#: The tmpfs files ``repro`` makes, each by ``tempfile.mkstemp`` in the
+#: coordinating process (``serve/engine.py``).
+SHM_FILES = "/dev/shm/repro-*"
+
+#: Every ``SHM_FILES`` path ``tempfile.mkstemp`` returned in this process.
+_SHM_MADE: set[str] = set()
+
+
+@pytest.fixture(autouse=True, scope="session")
+def _record_shm_files():
+    """Record the ``SHM_FILES`` this process makes, so that another
+    process's (a second test run's on the same host) are never counted."""
+    mkstemp = tempfile.mkstemp
+
+    def recording(*args, **kwargs):
+        fd, path = mkstemp(*args, **kwargs)
+        if isinstance(path, str) and fnmatch.fnmatch(path, SHM_FILES):
+            _SHM_MADE.add(path)
+        return fd, path
+
+    tempfile.mkstemp = recording
+    yield
+    tempfile.mkstemp = mkstemp
+
+
 def _shm_files() -> set[str]:
-    return set(glob.glob("/dev/shm/repro-*"))
+    """The ``SHM_FILES`` this process made that still exist."""
+    _SHM_MADE.difference_update(
+        [path for path in _SHM_MADE if not os.path.exists(path)]
+    )
+    return set(_SHM_MADE)
 
 
 def _live_children() -> set[int]:
@@ -81,9 +113,21 @@ def _listening_sockets() -> set[str]:
 
 @pytest.fixture(autouse=True)
 def no_leaks():
-    """Fail any test that leaves new ``/dev/shm/repro-*`` files, live child
-    processes, or listening sockets behind (leaked files are unlinked so
-    they cannot outlive the run)."""
+    """Fail any test that leaves new ``SHM_FILES`` of this process, live
+    child processes, or listening sockets behind (leaked files are unlinked
+    so they cannot outlive the run)."""
+    with _leak_guard():
+        yield
+
+
+@pytest.fixture
+def leak_guard():
+    """The guard of :func:`no_leaks` as a context manager, to test it."""
+    return _leak_guard
+
+
+@contextlib.contextmanager
+def _leak_guard():
     files, children, sockets = (
         _shm_files(), _live_children(), _listening_sockets()
     )

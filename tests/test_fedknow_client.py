@@ -1,11 +1,13 @@
 """Focused tests for FedKnowClient's signature-selection and compute paths,
-and for its replayed gradient steps against dynamic autograd."""
+for its replayed gradient steps against dynamic autograd, and for the local
+step on one shared forward against the per-gradient path."""
 
 from __future__ import annotations
 
 import numpy as np
 import pytest
 
+from repro import nn
 from repro.core import knowledge as knowledge_module
 from repro.core import restorer as restorer_module
 from repro.core.client import FedKnowClient
@@ -253,3 +255,136 @@ class TestReplayedSteps:
                         key, name)
             else:
                 assert np.array_equal(got[key], want[key]), key
+
+
+class _TrainScaled(nn.Module):
+    """Scales its input in train mode only: a buffer-free graph whose
+    train- and eval-mode programs differ without refusing capture."""
+
+    def forward(self, x):
+        return x * 0.5 if self.training else x
+
+
+class TestSharedStep:
+    """A local step replays the live model's forward once: the task gradient
+    and every restored gradient pull back through it, bit for bit the
+    per-gradient path."""
+
+    @staticmethod
+    def _client():
+        spec = cifar100_like(
+            train_per_class=6, test_per_class=2, input_shape=(3, 8, 8)
+        ).with_tasks(3)
+        bench = build_benchmark(spec, num_clients=1,
+                                rng=np.random.default_rng(0))
+
+        def factory():
+            return build_model("six_cnn", spec.num_classes,
+                               input_shape=spec.input_shape,
+                               rng=np.random.default_rng(3), width=4)
+
+        # k = 1 < 2 retained tasks on the last task: the refresh path runs
+        config = FedKnowConfig(num_signature_gradients=1, signature_refresh=2,
+                               extraction_finetune_iterations=2,
+                               aggregation_finetune_batches=2)
+        train = TrainConfig(batch_size=8, lr=0.05, momentum=0.9)
+        client = FedKnowClient(0, bench.clients[0], factory(), train,
+                               model_factory=factory, fedknow=config,
+                               rng=np.random.default_rng(0))
+        global_state = build_model(
+            "six_cnn", spec.num_classes, input_shape=spec.input_shape,
+            rng=np.random.default_rng(4), width=4,
+        ).state_dict()
+        return client, global_state
+
+    @staticmethod
+    def _run(client, global_state) -> dict:
+        record = {"restored": []}
+        integrate = client.integrator.integrate
+
+        def spy(current, constraints):
+            record["restored"].append((current.copy(), constraints.copy()))
+            return integrate(current, constraints)
+
+        client.integrator.integrate = spy
+        for position in range(3):
+            client.begin_task(position)
+            client.local_train(4)
+            client.receive_global(global_state, position)
+            client.end_task()
+            record[f"weights{position}"] = client.model.state_dict()
+            record[f"knowledge{position}"] = client.store[position].values
+        record["stats"] = dict(client.integration_stats)
+        return record
+
+    def test_client_matches_the_per_gradient_path(self, monkeypatch):
+        heads = []
+        backward = restorer_module.LiveForward.backward
+
+        def counted(self, op_name, *arrays):
+            heads.append(op_name)
+            return backward(self, op_name, *arrays)
+
+        monkeypatch.setattr(restorer_module.LiveForward, "backward", counted)
+        shared, global_state = self._client()
+        got = self._run(shared, global_state)
+        # a task head on each of the 12 steps; one soft-label head per
+        # step on task 1, and on task 2 two refreshes restore both entries
+        # through one forward, the steps between them the one selected
+        assert heads.count("cross_entropy") == 12
+        assert heads.count("soft_cross_entropy") == 4 + 6
+
+        monkeypatch.setattr(restorer_module.GradientRestorer, "live_forward",
+                            lambda self, model, inputs: None)
+        monkeypatch.setattr(knowledge_module, "replay_backward",
+                            _dynamic_backward)
+        monkeypatch.setattr(restorer_module, "replay_backward",
+                            _dynamic_backward)
+        monkeypatch.setattr(restorer_module, "replay_forward",
+                            _dynamic_forward)
+        heads.clear()
+        per_gradient, _ = self._client()
+        want = self._run(per_gradient, global_state)
+        assert not heads
+
+        assert got["stats"] == want["stats"]
+        assert got["stats"]["integrations"] > 0
+        assert len(got["restored"]) == len(want["restored"])
+        for (current, grads), (ref_current, ref_grads) in zip(
+                got["restored"], want["restored"]):
+            assert np.array_equal(current, ref_current)
+            assert np.array_equal(grads, ref_grads)
+        for key in got.keys() - {"stats", "restored"}:
+            assert got[key].keys() == want[key].keys()
+            for name in got[key]:
+                assert np.array_equal(got[key][name], want[key][name]), (
+                    key, name)
+
+    @pytest.mark.parametrize("layer", [nn.Dropout(0.5), _TrainScaled()],
+                             ids=["dropout", "train-mode-scale"])
+    def test_train_mode_only_ops_take_the_per_gradient_path(self, layer):
+        model = nn.Sequential(nn.Flatten(), nn.Linear(12, 6), layer,
+                              nn.Linear(6, 3))
+        restorer = restorer_module.GradientRestorer(scratch=model)
+        x = np.zeros((2, 3, 2, 2), dtype=np.float32)
+        model.train()
+        assert restorer.live_forward(model, x) is None
+        assert all(m.training for m in model.modules())
+        model.eval()  # the verdict compares both modes, whichever is on
+        assert restorer.live_forward(model, x) is None
+
+    def test_a_bn_model_is_refused_before_any_capture(self):
+        model = build_model("resnet18", 6, input_shape=(3, 8, 8),
+                            rng=np.random.default_rng(1), width=4)
+        restorer = restorer_module.GradientRestorer(scratch=model)
+        x = np.zeros((2, 3, 8, 8), dtype=np.float32)
+        assert restorer.live_forward(model.train(), x) is None
+        assert not model._tapes
+
+    def test_a_buffer_free_convnet_shares_its_forward(self):
+        model = build_model("six_cnn", 6, input_shape=(3, 8, 8),
+                            rng=np.random.default_rng(1), width=4)
+        restorer = restorer_module.GradientRestorer(scratch=model)
+        x = np.zeros((2, 3, 8, 8), dtype=np.float32)
+        assert restorer.live_forward(model.train(), x) is not None
+        assert model.training

@@ -20,7 +20,8 @@ Five contracts:
   memory of SixCNN replays stays pinned (``tracemalloc``);
 * **model tapes** — :func:`replay_backward` on a live model equals dynamic
   autograd, captures once per mode and input shape, leaves BN statistics as
-  one dynamic step would, and never travels with a pickled model.
+  one dynamic step would, and never travels with a pickled model; every
+  pullback of one :meth:`GraphTape.replay_vjp` is ``replay_grad``'s sweep.
 """
 
 from __future__ import annotations
@@ -45,6 +46,7 @@ from repro.nn.graph import (
 )
 from repro.nn.profiler import OpProfiler
 from repro.nn.tensor import concat, no_grad, stack
+from repro.obs.metrics import METRICS
 
 
 def _f(rng, *shape, lo=-1.0, hi=1.0):
@@ -497,6 +499,29 @@ class TestModelTapes:
         evaluated, _ = model_tape(model, _masked_ce, _batch(rng, 4))
         assert again is first
         assert len({id(first), id(smaller), id(evaluated)}) == 3
+
+    @pytest.mark.parametrize("name", ["six_cnn", "resnet18"])
+    def test_every_pullback_is_the_replay_grad_sweep(self, name):
+        """One forward's contexts serve any number of pullbacks; each is
+        the sweep ``replay_grad`` runs, and none counts as a replay."""
+        model = build_model(name, 10, input_shape=(3, 8, 8),
+                            rng=np.random.default_rng(1), width=4)
+        model.eval()
+        rng = np.random.default_rng(0)
+        inputs = {"x": _f(rng, 4, 3, 8, 8)}
+        seed = _f(rng, 4, 10)
+        tape, _ = model_tape(model, _logits, inputs)
+        want_out, want = tape.replay_grad(inputs, seed=seed)
+        replays = METRICS.counter("tape.replays")
+        before = replays.value
+        out, pullback = tape.replay_vjp(inputs)
+        sweeps = [pullback(seed), pullback(seed)]
+        assert replays.value == before + 1
+        assert np.array_equal(out, want_out)
+        for grads in sweeps:
+            assert len(grads) == len(want) == tape.num_params
+            for got, ref in zip(grads, want):
+                assert ref is not None and np.array_equal(got, ref)
 
     def test_tapes_stay_behind_when_the_model_is_pickled(self):
         model = build_model("six_cnn", 10, input_shape=(3, 8, 8),
