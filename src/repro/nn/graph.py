@@ -707,6 +707,10 @@ def model_tape(
     running statistics.  Replays read the model's parameters and update
     its BN buffers in place, as the dynamic ops do.  Returns the tape and
     its slot -> ``model.parameters()`` index order.
+
+    Raises ``NotImplementedError`` when an op refuses capture (dropout in
+    train mode); the refusal is kept under the same key, so the capture is
+    not tried again.
     """
     modes = tuple(m.training for m in model.modules())
     key = (fn, modes, tuple(
@@ -714,7 +718,13 @@ def model_tape(
     ))
     entry = model._tapes.get(key)
     if entry is None:
-        entry = model._tapes[key] = _capture_model(model, fn, inputs)
+        try:
+            entry = _capture_model(model, fn, inputs)
+        except NotImplementedError as refusal:
+            entry = str(refusal)
+        model._tapes[key] = entry
+    if isinstance(entry, str):
+        raise NotImplementedError(entry)
     return entry
 
 
@@ -748,9 +758,20 @@ def replay_backward(model, fn: Callable, inputs: Mapping[str, np.ndarray]):
 
     Leaves every parameter's ``grad`` as ``model.zero_grad()`` followed by
     ``fn(...).backward()`` would: a fresh array per parameter the output
-    reaches, ``None`` elsewhere.
+    reaches, ``None`` elsewhere.  A graph that refuses capture (dropout in
+    train mode) runs exactly that, through dynamic autograd.
     """
-    tape, order = model_tape(model, fn, inputs)
+    try:
+        tape, order = model_tape(model, fn, inputs)
+    except NotImplementedError:
+        from .tensor import Tensor  # tensor imports this module
+
+        model.zero_grad()
+        out = fn(model, **{
+            name: Tensor(arr, dtype=arr.dtype) for name, arr in inputs.items()
+        })
+        out.backward()
+        return out.data
     out, grads = tape.replay_grad(inputs)
     set_grads(model, order, grads)
     return out

@@ -31,7 +31,8 @@ class Module:
         object.__setattr__(self, "_modules", OrderedDict())
         object.__setattr__(self, "_buffers", OrderedDict())
         object.__setattr__(self, "training", True)
-        # graph tapes captured on this instance (repro.nn.graph.model_tape)
+        # graph tapes captured on this instance, and the capture refusals
+        # (repro.nn.graph.model_tape)
         object.__setattr__(self, "_tapes", {})
 
     def __getstate__(self):

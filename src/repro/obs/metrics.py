@@ -8,7 +8,8 @@ phase and ship the delta back; the coordinator ``merge()``s it, so wire
 bytes and cache hits counted remotely land in one snapshot.
 
 Instruments are created on first use (``METRICS.counter(name)``) and the
-returned handle stays valid across ``drain()`` (values reset in place).
+returned handle stays valid across ``drain()`` (counts reset in place;
+gauges keep their level).
 Metric names are dotted (``rpc.bytes_sent``); see the README catalogue.
 """
 
@@ -141,14 +142,15 @@ class MetricsRegistry:
             }
 
     def drain(self) -> dict[str, Any]:
-        """Snapshot, then zero every instrument *in place* so cached
-        handles stay valid (worker-side per-phase delta shipping)."""
+        """Snapshot, then zero every counter and histogram *in place* so
+        cached handles stay valid (worker-side per-phase delta shipping).
+        Gauges keep their value: a gauge is a level, not a delta, and
+        ``merge`` takes the incoming one, so a zeroed gauge shipped by the
+        next phase would overwrite the coordinator's."""
         snap = self.snapshot()
         with self._lock:
             for c in self._counters.values():
                 c.value = 0
-            for g in self._gauges.values():
-                g.value = 0
             for h in self._histograms.values():
                 h.counts = [0] * len(h.counts)
                 h.total = 0.0

@@ -36,6 +36,7 @@ from typing import Sequence
 from ..federated.base import FederatedClient
 from ..obs import metrics as _obs_metrics
 from ..obs import trace as _obs_trace
+from ..utils import runtime
 from ..utils.serialization import decode_state
 from .rpc import (
     MAGIC,
@@ -285,6 +286,7 @@ def run_worker(
     broadcasts even on the server's host — the remote code path under test
     on one machine.  Returns the worker id the server assigned.
     """
+    runtime.configure()
     conn = connect_with_retry(host, port, attempts=attempts,
                               backoff=backoff, timeout=None)
     try:

@@ -1,6 +1,7 @@
 """Focused tests for FedKnowClient's signature-selection and compute paths,
-for its replayed gradient steps against dynamic autograd, and for the local
-step on one shared forward against the per-gradient path."""
+for its replayed gradient steps against dynamic autograd, for the local
+step on one shared forward against the per-gradient path, and for a
+dropout model, whose train-mode steps cannot be captured."""
 
 from __future__ import annotations
 
@@ -15,6 +16,8 @@ from repro.core.config import FedKnowConfig
 from repro.data import build_benchmark, cifar100_like
 from repro.federated import TrainConfig
 from repro.models import build_model
+from repro.models.base import ImageClassifier
+from repro.nn import graph as graph_module
 from repro.nn.tensor import Tensor, no_grad
 
 
@@ -388,3 +391,93 @@ class TestSharedStep:
         x = np.zeros((2, 3, 8, 8), dtype=np.float32)
         assert restorer.live_forward(model.train(), x) is not None
         assert model.training
+
+
+class _DropoutNet(ImageClassifier):
+    """Flatten-Linear-ReLU-Dropout(0.5) body: its train-mode graph refuses
+    capture, its eval-mode graph does not."""
+
+    def __init__(self, num_classes, input_shape, rng):
+        super().__init__(num_classes, input_shape)
+        c, h, w = input_shape
+        self.body = nn.Sequential(nn.Flatten(), nn.Linear(c * h * w, 16, rng=rng),
+                                  nn.ReLU(), nn.Dropout(0.5, rng=rng))
+        self.classifier = nn.Linear(16, num_classes, rng=rng)
+
+    def forward_features(self, x):
+        return self.body(x)
+
+
+class TestDropoutClient:
+    """Train-mode steps of a dropout model run on dynamic autograd, which
+    refuses nothing; its eval-mode steps still replay tapes."""
+
+    @staticmethod
+    def _client():
+        spec = cifar100_like(
+            train_per_class=6, test_per_class=2, input_shape=(3, 4, 4)
+        ).with_tasks(2)
+        bench = build_benchmark(spec, num_clients=1,
+                                rng=np.random.default_rng(0))
+
+        def factory():
+            return _DropoutNet(spec.num_classes, spec.input_shape,
+                               rng=np.random.default_rng(3))
+
+        config = FedKnowConfig(extraction_finetune_iterations=2,
+                               aggregation_finetune_batches=2)
+        train = TrainConfig(batch_size=8, lr=0.05, momentum=0.9)
+        client = FedKnowClient(0, bench.clients[0], factory(), train,
+                               model_factory=factory, fedknow=config,
+                               rng=np.random.default_rng(0))
+        global_state = _DropoutNet(spec.num_classes, spec.input_shape,
+                                   rng=np.random.default_rng(4)).state_dict()
+        return client, global_state
+
+    @staticmethod
+    def _run(client, global_state) -> dict:
+        record = {}
+        for position in range(2):
+            client.begin_task(position)
+            client.local_train(3)
+            client.receive_global(global_state, position)
+            client.end_task()
+            record[f"weights{position}"] = client.model.state_dict()
+            record[f"knowledge{position}"] = client.store[position].values
+        record["stats"] = dict(client.integration_stats)
+        return record
+
+    def test_client_trains_as_dynamic_autograd_does(self, monkeypatch):
+        attempts = []
+        capture = graph_module._capture_model
+
+        def counted(model, fn, inputs):
+            attempts.append((id(model), fn, model.training,
+                             tuple(arr.shape for arr in inputs.values())))
+            return capture(model, fn, inputs)
+
+        monkeypatch.setattr(graph_module, "_capture_model", counted)
+        replayed, global_state = self._client()
+        got = self._run(replayed, global_state)
+        # every refusal is kept with the tapes: no capture is tried twice
+        assert attempts and len(attempts) == len(set(attempts))
+        assert any(not training for _, _, training, _ in attempts)
+
+        monkeypatch.setattr(restorer_module.GradientRestorer, "live_forward",
+                            lambda self, model, inputs: None)
+        monkeypatch.setattr(knowledge_module, "replay_backward",
+                            _dynamic_backward)
+        monkeypatch.setattr(restorer_module, "replay_backward",
+                            _dynamic_backward)
+        monkeypatch.setattr(restorer_module, "replay_forward",
+                            _dynamic_forward)
+        dynamic, _ = self._client()
+        want = self._run(dynamic, global_state)
+
+        assert got["stats"] == want["stats"]
+        assert got["stats"]["integrations"] > 0
+        for key in got.keys() - {"stats"}:
+            assert got[key].keys() == want[key].keys()
+            for name in got[key]:
+                assert np.array_equal(got[key][name], want[key][name]), (
+                    key, name)

@@ -38,8 +38,6 @@ gradients are bitwise only where numpy's bundled OpenBLAS runs that core
 from __future__ import annotations
 
 import ctypes
-import glob
-import os
 from unittest import mock
 
 import numpy as np
@@ -48,6 +46,7 @@ import pytest
 from repro.nn import Tensor
 from repro.nn import functional as F
 from repro.nn.graph import OPS
+from repro.utils.runtime import bundled_openblas
 
 # ---------------------------------------------------------------------------
 # reference kernels
@@ -146,15 +145,12 @@ def ref_max_pool2d(x, g, kernel, stride, padding):
 def _blas_core() -> str | None:
     """The kernel set numpy's bundled OpenBLAS runs, or ``None`` when numpy
     bundles no OpenBLAS that can say."""
-    libs = os.path.join(os.path.dirname(np.__file__), os.pardir, "numpy.libs")
-    for path in glob.glob(os.path.join(libs, "libscipy_openblas*")):
-        try:
-            corename = ctypes.CDLL(path).scipy_openblas_get_corename64_
-        except (OSError, AttributeError):
-            continue
-        corename.argtypes, corename.restype = [], ctypes.c_char_p
-        return corename().decode()
-    return None
+    try:
+        corename = bundled_openblas().scipy_openblas_get_corename64_
+    except AttributeError:  # no bundled OpenBLAS, or another build
+        return None
+    corename.argtypes, corename.restype = [], ctypes.c_char_p
+    return corename().decode()
 
 
 BLAS_CORE = _blas_core()

@@ -139,6 +139,17 @@ class TestMetricsRegistry:
         assert target.snapshot()["histograms"]["h"]["count"] == 1
         assert target.snapshot()["gauges"]["g"] == 7
 
+    def test_gauges_keep_their_level_across_drains(self):
+        # a worker drains after every phase; a gauge set once at its start
+        # must not reach the coordinator as 0 from the second phase on
+        source, target = MetricsRegistry(), MetricsRegistry()
+        source.gauge("g").set(7)
+        source.counter("n").inc(2)
+        target.merge(source.drain())
+        target.merge(source.drain())
+        assert target.snapshot()["gauges"]["g"] == 7
+        assert target.value("n") == 2
+
     def test_warn_bumps_counter_and_retains_fields(self):
         registry = MetricsRegistry()
         registry.warn("w.x", "three things went sideways", amount=3, things=3)
