@@ -249,7 +249,8 @@ def test_batched_round_64c(benchmark, round_64c):
     def round_in_chunks_of(size):
         return lambda: train_clients_batched(batched.clients, iterations, size)
 
-    one_client, one_chunk = round_in_chunks_of(1), round_in_chunks_of(None)
+    one_client = round_in_chunks_of(1)
+    one_chunk = round_in_chunks_of(len(batched.clients))
     # one-client chunks capture a tape on every client model on first use;
     # run each side once so no capture lands in a timed pair
     one_client()

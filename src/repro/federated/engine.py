@@ -9,8 +9,8 @@ active clients.  Engines decide how that map executes:
 * :class:`ThreadedRoundEngine` — clients run concurrently on a thread pool;
 * :class:`BatchedRoundEngine` — same-architecture clients are **stacked**:
   the training step is captured once as a static graph tape and replayed
-  with B clients' weights and minibatches along a leading axis, one batched
-  forward/backward + flat SGD update per step
+  with up to B clients' weights and minibatches along a leading axis, one
+  batched forward/backward + flat SGD update per step
   (see :mod:`repro.federated.batched`);
 * ``socket[:W]`` — :class:`~repro.serve.engine.SocketRoundEngine`, the one
   out-of-process engine: clients run in socket-connected worker processes
@@ -224,8 +224,10 @@ class BatchedRoundEngine(RoundEngine):
     the engine calls it once with the whole item list before the ordinary
     per-item map.  The trainer's train phase uses the hook to run all
     participants' local SGD through one captured graph tape
-    (:func:`repro.federated.batched.train_clients_batched`) in chunks of at
-    most ``batch_clients``; the per-item calls then only package results.
+    (:func:`repro.federated.batched.train_clients_batched`) in the fewest
+    balanced chunks of at most ``batch_clients``, or, with None, of
+    :data:`~repro.federated.batched.DEFAULT_CHUNK_CLIENTS`; the per-item
+    calls then only package results.
     Phases without the hook (the receive phase) fall through to plain
     serial execution, so the ``map`` contract is unchanged.
 
@@ -288,9 +290,10 @@ def create_engine(
     Specs read ``"<name>[:<arg>]"`` — ``"serial"``, ``"thread"``,
     ``"thread:4"``, ``"batched"``, ``"batched:64"``, ``"socket"``,
     ``"socket:4"``.  The argument is a
-    worker count for thread/socket engines and a per-chunk client
-    count for the batched engine (default: all of a round's participants in
-    one chunk).  ``max_workers`` is the fallback worker count when the spec
+    worker count for thread/socket engines and the most clients per chunk
+    for the batched engine (default:
+    :data:`~repro.federated.batched.DEFAULT_CHUNK_CLIENTS`, 8).
+    ``max_workers`` is the fallback worker count when the spec
     does not carry one; ``serial`` takes no argument.  Unknown or malformed
     specs raise :class:`ValueError` with the full catalogue.
     """

@@ -12,8 +12,10 @@ the process that forked them.  It sets two things no Python object owns:
   dynamic rule raises the mmap threshold to the largest freed mmapped chunk,
   up to the same 32 MB ceiling on 64-bit, and the trim threshold to twice
   that; the policy starts at the ceiling instead of climbing to it, so it
-  retains no more per arena than glibc may.  A user who set glibc's malloc
-  env vars (``MALLOC_MMAP_THRESHOLD_``, ``MALLOC_TRIM_THRESHOLD_``,
+  retains no more per arena than glibc may.  The policy runs after a run's
+  data and models are built, so the heap set-up left free is released once
+  (``malloc_trim(0)``).  A user who set glibc's malloc env vars
+  (``MALLOC_MMAP_THRESHOLD_``, ``MALLOC_TRIM_THRESHOLD_``,
   ``MALLOC_TOP_PAD_`` or ``glibc.malloc.`` tunables) keeps them.
 * **BLAS threads.**  numpy's bundled OpenBLAS starts a pool as wide as the
   host.  On this program's small GEMMs the extra threads mostly spin (on a
@@ -76,7 +78,8 @@ def _tune_allocator() -> tuple[int, int]:
     if (not glibc or any(env.get(name) for name in _MALLOC_ENV)
             or "glibc.malloc." in env.get("GLIBC_TUNABLES", "")):
         return 0, 0
-    mallopt = ctypes.CDLL(None).mallopt
+    libc = ctypes.CDLL(None)
+    mallopt = libc.mallopt
     mallopt.argtypes = [ctypes.c_int, ctypes.c_int]
     mallopt.restype = ctypes.c_int
     # a fixed trim threshold also switches off glibc's dynamic mmap
@@ -85,6 +88,12 @@ def _tune_allocator() -> tuple[int, int]:
         return 0, 0
     if mallopt(_M_TRIM_THRESHOLD, TRIM_THRESHOLD) != 1:
         return MMAP_THRESHOLD, 0
+    # the pages set-up freed under glibc's defaults would now stay beside
+    # the training heap: hand them back once
+    malloc_trim = libc.malloc_trim
+    malloc_trim.argtypes = [ctypes.c_size_t]
+    malloc_trim.restype = ctypes.c_int
+    malloc_trim(0)
     return MMAP_THRESHOLD, TRIM_THRESHOLD
 
 

@@ -9,6 +9,9 @@ engine's contracts:
   momentum;
 * **one capture per chunk leader** — each chunk replays the tape its
   leader's live model captured on its first step as a leader;
+* **balanced chunks** — a round runs in the fewest chunks of at most
+  ``B`` clients (8 without ``batched:B``) whose sizes differ by at most
+  one;
 * **batch safety** — methods whose local step is not a pure
   loss→backward→SGD update are rejected up front, both by the trainer and
   by the registry-derived ``BATCH_SAFE_METHODS``;
@@ -33,6 +36,7 @@ from repro.federated import (
     create_trainer,
     create_transport,
 )
+from repro.federated import batched
 from repro.federated.batched import train_chunk
 from repro.serve import SocketRoundEngine
 
@@ -46,6 +50,20 @@ def spec():
 def config():
     return TrainConfig(batch_size=8, lr=0.02, rounds_per_task=2,
                        iterations_per_round=3)
+
+
+@pytest.fixture
+def chunk_sizes(monkeypatch):
+    """The size of every chunk ``train_chunk`` runs, in call order."""
+    sizes = []
+    real = batched.train_chunk
+
+    def spy(clients, iterations):
+        sizes.append(len(clients))
+        real(clients, iterations)
+
+    monkeypatch.setattr(batched, "train_chunk", spy)
+    return sizes
 
 
 def states_equal(a, b):
@@ -140,6 +158,17 @@ class TestBatchedBitIdentity:
         )
         assert_runs_identical(reference, other)
 
+    def test_uneven_default_chunks_match_serial(
+        self, spec, config, monkeypatch, chunk_sizes
+    ):
+        # a default cap of three splits five clients 3 + 2
+        monkeypatch.setattr(batched, "DEFAULT_CHUNK_CLIENTS", 3)
+        reference = run_matrix_config(spec, config, num_clients=5)
+        other = run_matrix_config(spec, config, num_clients=5,
+                                  engine="batched")
+        assert chunk_sizes == [3, 2] * 4  # 2 tasks x 2 rounds
+        assert_runs_identical(reference, other)
+
     def test_deadline_policy_matches_serial(self, spec, config):
         reference = run_matrix_config(
             spec, config, participation="deadline:6.1", num_clients=6
@@ -180,6 +209,33 @@ class TestLeaderTapes:
             result = trainer.run()
             assert len(result.rounds) == 4  # 2 tasks x 2 rounds
             assert [len(c.model._tapes) for c in trainer.clients] == tapes
+
+
+# ----------------------------------------------------------------------
+# chunk sizes
+# ----------------------------------------------------------------------
+class TestChunks:
+    @pytest.mark.parametrize("engine,num_clients,sizes", [
+        ("batched", 16, [8, 8]),
+        ("batched", 20, [7, 7, 6]),
+        ("batched", 5, [5]),
+        ("batched:3", 7, [3, 2, 2]),
+        ("batched:3", 6, [3, 3]),
+        ("batched:8", 5, [5]),
+    ])
+    def test_fewest_balanced_chunks_within_the_cap(
+        self, chunk_sizes, engine, num_clients, sizes
+    ):
+        spec = cifar100_like(train_per_class=8, test_per_class=4,
+                             input_shape=(3, 8, 8)).with_tasks(2)
+        bench = create_scenario("class-inc").build(
+            spec, num_clients=num_clients, rng=np.random.default_rng(0)
+        )
+        config = TrainConfig(batch_size=1, lr=0.02, rounds_per_task=1,
+                             iterations_per_round=1)
+        with create_trainer("fedavg", bench, config, engine=engine) as trainer:
+            trainer.run_task(0)
+        assert chunk_sizes == sizes
 
 
 # ----------------------------------------------------------------------

@@ -336,3 +336,7 @@ class TestTapeReplayProfiles:
             assert stats["calls"] >= 1
             assert stats["seconds"] >= 0.0
         assert any(name.startswith("bwd.") for name in ops)
+        # three clients under a cap of two run as chunks of 2 + 1; the gauge
+        # holds the larger
+        assert {s["attrs"]["batch"] for s in graded} == {1, 2}
+        assert metrics["gauges"]["batched.chunk_clients"] == 2

@@ -79,6 +79,27 @@ def test_a_trainer_applies_both_policies():
     assert got == APPLIED
 
 
+@needs_glibc
+def test_configure_releases_the_heap_set_up_left_free():
+    # every other 64 KB block freed: holes below live blocks, which glibc's
+    # own trimming (of the heap's top only) never hands back
+    got = run_case("""
+import os
+
+def resident_mb():
+    with open("/proc/self/statm") as statm:
+        pages = int(statm.read().split()[1])
+    return pages * os.sysconf("SC_PAGE_SIZE") / 1e6
+
+blocks = [np.ones(1 << 14, dtype=np.float32) for _ in range(800)]
+del blocks[::2]
+before = resident_mb()
+runtime.configure()
+print(json.dumps(before - resident_mb()))
+""")
+    assert got > 10, f"configure released {got:.1f} MB of 26 MB freed"
+
+
 def test_the_users_blas_thread_count_wins():
     got = run_case("build_trainer()\nprint(json.dumps(gauges()))",
                    OPENBLAS_NUM_THREADS="2")
