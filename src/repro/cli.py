@@ -26,69 +26,39 @@ import sys
 
 import numpy as np
 
-from .data import ALL_SPECS, available_scenarios, create_scenario, get_spec
-from .edge import jetson_cluster, jetson_raspberry_cluster
-from .experiments import (
-    format_series,
-    format_table,
-    get_preset,
-    run_aggregation_ablation,
-    run_distance_ablation,
-    run_fig4,
-    run_fig5,
-    run_fig5_wire,
-    run_fig6,
-    run_fig7,
-    run_fig8,
-    run_fig9,
-    run_fig10,
-    run_fig_curvature,
-    run_fig_eventsim,
-    run_fig_scaling,
-    run_fig_scenarios,
-    run_k_ablation,
-    run_qp_ablation,
-    run_single,
-    run_table1,
-)
-from .experiments.search import search_fedknow
-from .federated import ALL_METHODS
-from .models import available_models
+from .data.specs import ALL_SPECS
+from .federated.registry import ALL_METHODS
 
-FIGURES = {
-    "fig4": lambda preset: "\n\n".join(str(r) for r in run_fig4(preset=preset)),
-    "fig4-hetero": lambda preset: "\n\n".join(
-        str(r) for r in run_fig4(
-            datasets=("cifar100", "fc100", "core50"),
-            methods=("gem", "fedweit", "fedknow"),
-            preset=preset,
-            heterogeneous=True,
-        )
-    ),
-    "table1": lambda preset: str(run_table1(preset=preset)),
-    "fig5": lambda preset: str(run_fig5(preset=preset)),
-    "fig5-wire": lambda preset: str(run_fig5_wire(preset=preset)),
-    "fig6": lambda preset: str(run_fig6(preset=preset)),
-    "fig7": lambda preset: str(run_fig7(preset=preset, num_tasks=6)),
-    "fig8": lambda preset: str(run_fig8(preset=preset)),
-    "fig8-sampled": lambda preset: str(
-        run_fig8(preset=preset, participation="sampled:0.5")
-    ),
-    "fig9": lambda preset: str(run_fig9(preset=preset)),
-    "fig10": lambda preset: str(run_fig10(preset=preset)),
-    "fig-scenarios": lambda preset: str(run_fig_scenarios(preset=preset)),
-    "fig-curvature": lambda preset: str(run_fig_curvature(preset=preset)),
-    "fig-scaling": lambda preset: str(run_fig_scaling(preset=preset)),
-    "fig-eventsim": lambda preset: str(run_fig_eventsim(preset=preset)),
-    "ablations": lambda preset: "\n\n".join(
-        str(fn(preset=preset))
-        for fn in (
-            run_distance_ablation,
-            run_k_ablation,
-            run_qp_ablation,
-            run_aggregation_ablation,
-        )
-    ),
+#: figure name -> (its runners as ``module:attr`` under
+#: ``repro.experiments``, keyword arguments besides the preset).  A figure
+#: imports its runners when it is drawn and prints every report they return.
+FIGURES: dict[str, tuple[tuple[str, ...], dict]] = {
+    "fig4": (("fig4_accuracy:run_fig4",), {}),
+    "fig4-hetero": (("fig4_accuracy:run_fig4",), {
+        "datasets": ("cifar100", "fc100", "core50"),
+        "methods": ("gem", "fedweit", "fedknow"),
+        "heterogeneous": True,
+    }),
+    "table1": (("table1_improvement:run_table1",), {}),
+    "fig5": (("fig5_comm_volume:run_fig5",), {}),
+    "fig5-wire": (("fig5_comm_volume:run_fig5_wire",), {}),
+    "fig6": (("fig6_bandwidth:run_fig6",), {}),
+    "fig7": (("fig7_tasks:run_fig7",), {"num_tasks": 6}),
+    "fig8": (("fig8_clients:run_fig8",), {}),
+    "fig8-sampled": (("fig8_clients:run_fig8",),
+                     {"participation": "sampled:0.5"}),
+    "fig9": (("fig9_dnns:run_fig9",), {}),
+    "fig10": (("fig10_params:run_fig10",), {}),
+    "fig-scenarios": (("fig_scenarios:run_fig_scenarios",), {}),
+    "fig-curvature": (("fig_curvature:run_fig_curvature",), {}),
+    "fig-scaling": (("fig_scaling:run_fig_scaling",), {}),
+    "fig-eventsim": (("fig_scaling:run_fig_eventsim",), {}),
+    "ablations": ((
+        "ablations:run_distance_ablation",
+        "ablations:run_k_ablation",
+        "ablations:run_qp_ablation",
+        "ablations:run_aggregation_ablation",
+    ), {}),
 }
 
 
@@ -286,6 +256,12 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _cmd_run(args) -> int:
+    from .data import create_scenario, get_spec
+    from .edge import jetson_cluster, jetson_raspberry_cluster
+    from .experiments.config import get_preset
+    from .experiments.reporting import format_series, format_table
+    from .experiments.runner import run_single
+
     preset = get_preset(args.preset)
     if args.clients is not None:
         preset = preset.updated(num_clients=args.clients)
@@ -438,6 +414,7 @@ def _cmd_run(args) -> int:
 
 
 def _cmd_simulate(args) -> int:
+    from .experiments.reporting import format_table
     from .federated import PopulationSimulator
 
     if args.clients < 1:
@@ -503,6 +480,7 @@ def _cmd_simulate(args) -> int:
 
 
 def _cmd_serve(args) -> int:
+    from .experiments.reporting import format_series, format_table
     from .serve import FederationServer, RpcError
 
     if args.workers < 1:
@@ -587,18 +565,33 @@ def _cmd_worker(args) -> int:
 
 
 def _cmd_figure(args) -> int:
-    print(FIGURES[args.name](get_preset(args.preset)))
+    from . import _load
+    from .experiments.config import get_preset
+
+    runners, kwargs = FIGURES[args.name]
+    preset = get_preset(args.preset)
+    reports = []
+    for runner in runners:
+        report = _load(f"repro.experiments.{runner}")(preset=preset, **kwargs)
+        reports.extend(report if isinstance(report, list) else [report])
+    print("\n\n".join(str(report) for report in reports))
     return 0
 
 
 def _cmd_search(args) -> int:
+    from .experiments.config import get_preset
+    from .experiments.search import search_fedknow
+
     print(search_fedknow(preset=get_preset(args.preset)))
     return 0
 
 
 def _cmd_list() -> int:
     from .curv.selector import SELECTOR_SPECS
+    from .data.scenario import available_scenarios
+    from .experiments.reporting import format_table
     from .federated.engine import ENGINE_SPECS
+    from .models.zoo import available_models
 
     print(format_table(
         ["kind", "names"],

@@ -1,13 +1,17 @@
 """Continual-learning baselines (the six CL methods compared in Fig. 4)."""
 
-from .agscl import AGSCLStrategy
-from .base import ContinualStrategy, FinetuneStrategy
-from .bcn import BCNStrategy
-from .buffer import EpisodicMemory, TaskMemory
-from .co2l import Co2LStrategy
-from .ewc import EWCStrategy
-from .gem import GEMStrategy
-from .mas import MASStrategy
+from .. import _lazy_exports
+
+__getattr__, __dir__ = _lazy_exports(__name__, {
+    ".agscl": ("AGSCLStrategy",),
+    ".base": ("ContinualStrategy", "FinetuneStrategy"),
+    ".bcn": ("BCNStrategy",),
+    ".buffer": ("EpisodicMemory", "TaskMemory"),
+    ".co2l": ("Co2LStrategy",),
+    ".ewc": ("EWCStrategy",),
+    ".gem": ("GEMStrategy",),
+    ".mas": ("MASStrategy",),
+})
 
 __all__ = [
     "AGSCLStrategy",

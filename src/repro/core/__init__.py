@@ -1,31 +1,26 @@
 """FedKNOW core: signature task knowledge extraction, restoration, integration."""
 
-from .client import FedKnowClient
-from .config import FedKnowConfig
-from .distance import (
-    DISTANCES,
-    cosine_distance,
-    l2_distance,
-    select_signature_tasks,
-    wasserstein_distance,
-)
-from .integrator import GradientIntegrator, IntegrationResult
-from .knowledge import KnowledgeExtractor, KnowledgeStore, TaskKnowledge
-from .qp import (
-    SOLVERS,
-    nnqp_objective,
-    solve_nnqp,
-    solve_nnqp_active_set,
-    solve_nnqp_projected_gradient,
-)
-from .restorer import GradientRestorer
-from .theory import (
-    ConvergenceConstants,
-    gap_curve,
-    global_weight_bound,
-    local_weight_bound,
-    theorem1_gap,
-)
+from .. import _lazy_exports
+
+__getattr__, __dir__ = _lazy_exports(__name__, {
+    ".client": ("FedKnowClient",),
+    ".config": ("FedKnowConfig",),
+    ".distance": (
+        "DISTANCES", "cosine_distance", "l2_distance",
+        "select_signature_tasks", "wasserstein_distance",
+    ),
+    ".integrator": ("GradientIntegrator", "IntegrationResult"),
+    ".knowledge": ("KnowledgeExtractor", "KnowledgeStore", "TaskKnowledge"),
+    ".qp": (
+        "SOLVERS", "nnqp_objective", "solve_nnqp", "solve_nnqp_active_set",
+        "solve_nnqp_projected_gradient",
+    ),
+    ".restorer": ("GradientRestorer",),
+    ".theory": (
+        "ConvergenceConstants", "gap_curve", "global_weight_bound",
+        "local_weight_bound", "theorem1_gap",
+    ),
+})
 
 __all__ = [
     "ConvergenceConstants",

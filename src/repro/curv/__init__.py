@@ -9,15 +9,15 @@ masked cross-entropy tape captured on the live model; it varies with its
 ``chunk`` only in float64 summation order.
 """
 
-from .fisher import empirical_fisher_diagonal
-from .selector import (
-    SELECTOR_SPECS,
-    FisherSelector,
-    HybridSelector,
-    MagnitudeSelector,
-    SignatureSelector,
-    create_selector,
-)
+from .. import _lazy_exports
+
+__getattr__, __dir__ = _lazy_exports(__name__, {
+    ".fisher": ("empirical_fisher_diagonal",),
+    ".selector": (
+        "SELECTOR_SPECS", "FisherSelector", "HybridSelector",
+        "MagnitudeSelector", "SignatureSelector", "create_selector",
+    ),
+})
 
 __all__ = [
     "SELECTOR_SPECS",

@@ -22,7 +22,6 @@ from __future__ import annotations
 import numpy as np
 
 from ..utils.rng import get_rng
-from .fisher import empirical_fisher_diagonal
 
 #: The spec strings `repro list` advertises and `--selector` accepts.
 SELECTOR_SPECS = ("magnitude", "fisher", "hybrid:<mix>")
@@ -64,8 +63,13 @@ class FisherSelector(SignatureSelector):
     def __init__(self, max_samples: int = 256, chunk: int = 32):
         if max_samples < 1:
             raise ValueError(f"max_samples must be >= 1, got {max_samples}")
+        # imported here, so that a magnitude selector, or listing the
+        # selectors, loads no ``repro.nn`` module
+        from .fisher import empirical_fisher_diagonal
+
         self.max_samples = max_samples
         self.chunk = chunk
+        self._estimate = empirical_fisher_diagonal
 
     def scores(self, model, task, rng=None) -> np.ndarray:
         x, y = task.train_x, task.train_y
@@ -73,7 +77,7 @@ class FisherSelector(SignatureSelector):
             keep = get_rng(rng).choice(len(y), self.max_samples, replace=False)
             keep.sort()
             x, y = x[keep], y[keep]
-        fisher = empirical_fisher_diagonal(
+        fisher = self._estimate(
             model, x, y, task.class_mask(), chunk=self.chunk
         )
         weights = np.concatenate(

@@ -1,40 +1,26 @@
 """Datasets: synthetic stand-ins for the paper's five benchmarks + federated splits."""
 
-from .federated import (
-    ClientData,
-    ClientTask,
-    FederatedContinualBenchmark,
-    allocate_task_classes,
-    build_benchmark,
-    single_client_benchmark,
-    task_classes,
-)
-from .loader import endless_batches, iterate_batches, sample_batch
-from .scenario import (
-    SCENARIOS,
-    ClientDataFactory,
-    DirichletPartitioner,
-    Partitioner,
-    PowerLawPartitioner,
-    RangePartitioner,
-    Scenario,
-    TaskStream,
-    available_scenarios,
-    create_scenario,
-)
-from .specs import (
-    ALL_SPECS,
-    DatasetSpec,
-    cifar100_like,
-    combined_spec,
-    core50_like,
-    fc100_like,
-    get_spec,
-    miniimagenet_like,
-    svhn_like,
-    tinyimagenet_like,
-)
-from .synthetic import ClientTransform, SyntheticImageSource
+from .. import _lazy_exports
+
+__getattr__, __dir__ = _lazy_exports(__name__, {
+    ".federated": (
+        "ClientData", "ClientTask", "FederatedContinualBenchmark",
+        "allocate_task_classes", "build_benchmark", "single_client_benchmark",
+        "task_classes",
+    ),
+    ".loader": ("endless_batches", "iterate_batches", "sample_batch"),
+    ".scenario": (
+        "SCENARIOS", "ClientDataFactory", "DirichletPartitioner",
+        "Partitioner", "PowerLawPartitioner", "RangePartitioner", "Scenario",
+        "TaskStream", "available_scenarios", "create_scenario",
+    ),
+    ".specs": (
+        "ALL_SPECS", "DatasetSpec", "cifar100_like", "combined_spec",
+        "core50_like", "fc100_like", "get_spec", "miniimagenet_like",
+        "svhn_like", "tinyimagenet_like",
+    ),
+    ".synthetic": ("ClientTransform", "SyntheticImageSource"),
+})
 
 __all__ = [
     "ALL_SPECS",

@@ -36,7 +36,6 @@ elsewhere keeps the mutated replicas there and hands them back through
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from typing import (
     TYPE_CHECKING, Callable, Iterable, Mapping, Sequence, TypeVar,
 )
@@ -47,6 +46,8 @@ from ..obs import trace as _obs_trace
 from .sharding import ShardedAggregator
 
 if TYPE_CHECKING:
+    from concurrent.futures import ThreadPoolExecutor
+
     from .base import FederatedClient
     from .server import FedAvgServer
 
@@ -182,6 +183,9 @@ class ThreadedRoundEngine(RoundEngine):
 
     def _pool(self) -> ThreadPoolExecutor:
         if self._executor is None:
+            # imported here: it loads ``logging``, which no other engine needs
+            from concurrent.futures import ThreadPoolExecutor
+
             self._executor = ThreadPoolExecutor(
                 max_workers=self.max_workers, thread_name_prefix="round-engine"
             )
@@ -241,7 +245,11 @@ class BatchedRoundEngine(RoundEngine):
             raise ValueError(
                 f"need at least one client per batch, got {batch_clients}"
             )
+        # imported when the engine is built, so that no round imports a module
+        from .batched import train_clients_batched
+
         self.batch_clients = batch_clients
+        self._train = train_clients_batched
 
     def rejects(self, method: str) -> str | None:
         from .registry import BATCH_SAFE_METHODS
@@ -263,9 +271,7 @@ class BatchedRoundEngine(RoundEngine):
     def train_clients(self, clients, iterations: int) -> None:
         """Run batched local training for ``clients`` (called by the train
         phase's ``prepare_batched`` hook)."""
-        from .batched import train_clients_batched
-
-        train_clients_batched(clients, iterations, self.batch_clients)
+        self._train(clients, iterations, self.batch_clients)
 
 
 ENGINES: dict[str, type[RoundEngine]] = {

@@ -18,49 +18,60 @@ fedvb                 FedVBClient + precision-weighted FedVB server
 gem / bcn / co2l /
 ewc / mas / agscl     SGDClient + CL strategy + FedAvg
 ====================  ==========================================
+
+Classes are named by ``module:attr`` and imported when a trainer for their
+method is built, so importing the registry loads no method's modules.
 """
 
 from __future__ import annotations
 
-from typing import Callable
+from typing import TYPE_CHECKING
 
 import numpy as np
 
-from ..continual import (
-    AGSCLStrategy,
-    BCNStrategy,
-    Co2LStrategy,
-    EWCStrategy,
-    GEMStrategy,
-    MASStrategy,
-)
-from ..data.federated import FederatedContinualBenchmark
-from ..edge.arrivals import PopulationModel
-from ..edge.cluster import EdgeCluster
-from ..edge.cost import ModelCostModel
-from ..edge.network import NetworkModel
-from ..models import build_model
+from .. import _LazyTable, _load
 from ..utils.rng import spawn
-from .apfl import APFLClient
-from .base import SGDClient
-from .config import TrainConfig
-from .engine import RoundEngine
-from .fedrep import FedRepClient
-from .fedvb import FedVBClient, FedVBServer
-from .fedweit import FedWeitClient, FedWeitServer
-from .flcn import FLCNClient
-from .participation import ParticipationPolicy
-from .server import FedAvgServer, FLCNServer
-from .trainer import FederatedTrainer
-from .transport import Transport
 
-CONTINUAL_STRATEGIES: dict[str, Callable] = {
-    "gem": GEMStrategy,
-    "bcn": BCNStrategy,
-    "co2l": Co2LStrategy,
-    "ewc": EWCStrategy,
-    "mas": MASStrategy,
-    "agscl": AGSCLStrategy,
+if TYPE_CHECKING:
+    from ..data.federated import FederatedContinualBenchmark
+    from ..edge.arrivals import PopulationModel
+    from ..edge.cluster import EdgeCluster
+    from ..edge.network import NetworkModel
+    from .config import TrainConfig
+    from .engine import RoundEngine
+    from .participation import ParticipationPolicy
+    from .trainer import FederatedTrainer
+    from .transport import Transport
+
+#: The CL strategy class of each continual baseline (run on an SGDClient),
+#: imported when first looked up.
+CONTINUAL_STRATEGIES = _LazyTable({
+    "gem": "repro.continual.gem:GEMStrategy",
+    "bcn": "repro.continual.bcn:BCNStrategy",
+    "co2l": "repro.continual.co2l:Co2LStrategy",
+    "ewc": "repro.continual.ewc:EWCStrategy",
+    "mas": "repro.continual.mas:MASStrategy",
+    "agscl": "repro.continual.agscl:AGSCLStrategy",
+})
+
+_FEDAVG = "repro.federated.server:FedAvgServer"
+_SGD = "repro.federated.base:SGDClient"
+
+#: method -> (client class, server class), imported when a trainer for that
+#: method is built, so a run loads its own method's modules and no other's.
+#: Methods absent here are the CL strategies, on SGDClient + FedAvg.
+_COMPOSITION: dict[str, tuple[str, str]] = {
+    "fedknow": ("repro.core.client:FedKnowClient", _FEDAVG),
+    "fedknow-fisher": ("repro.core.client:FedKnowClient", _FEDAVG),
+    "fedweit": ("repro.federated.fedweit:FedWeitClient",
+                "repro.federated.fedweit:FedWeitServer"),
+    "fedavg": (_SGD, _FEDAVG),
+    "apfl": ("repro.federated.apfl:APFLClient", _FEDAVG),
+    "fedrep": ("repro.federated.fedrep:FedRepClient", _FEDAVG),
+    "flcn": ("repro.federated.flcn:FLCNClient",
+             "repro.federated.server:FLCNServer"),
+    "fedvb": ("repro.federated.fedvb:FedVBClient",
+              "repro.federated.fedvb:FedVBServer"),
 }
 
 FEDERATED_METHODS = ("fedavg", "apfl", "fedrep")
@@ -109,34 +120,16 @@ def resolve_selector(method: str, selector: str | None = None) -> str:
     return create_selector(selector).describe()
 
 #: Methods whose clients exchange state with the live server mid-round and
-#: therefore cannot run on the socket engine (derived from the client
-#: classes' ``process_safe`` flags so it cannot drift from them).
-PROCESS_UNSAFE_METHODS: tuple[str, ...] = tuple(
-    name
-    for name, cls in (("flcn", FLCNClient), ("fedweit", FedWeitClient))
-    if not cls.process_safe
-)
+#: therefore cannot run on the socket engine: those whose client class sets
+#: ``process_safe = False``.  Spelled out so that importing the registry
+#: imports no client class; ``tests/test_imports.py`` holds it to the flags.
+PROCESS_UNSAFE_METHODS: tuple[str, ...] = ("flcn", "fedweit")
 
-
-def _batch_safe_methods() -> tuple[str, ...]:
-    """Methods whose local step is a pure loss→backward→SGD update and can
-    therefore run stacked on the batched engine (derived from the strategy
-    classes' ``batch_safe`` flags so it cannot drift from them)."""
-    from ..continual.base import FinetuneStrategy
-
-    safe = []
-    if FinetuneStrategy.batch_safe:
-        safe.append("fedavg")
-    safe.extend(
-        name
-        for name, strategy_cls in CONTINUAL_STRATEGIES.items()
-        if strategy_cls.batch_safe
-    )
-    return tuple(safe)
-
-
-#: Methods the batched round engine accepts (``--engine batched``).
-BATCH_SAFE_METHODS: tuple[str, ...] = _batch_safe_methods()
+#: Methods the batched round engine accepts (``--engine batched``): those
+#: whose local step is a pure loss→backward→SGD update, i.e. whose strategy
+#: class sets ``batch_safe`` (fedavg runs ``FinetuneStrategy``).  Held to
+#: the flags by ``tests/test_imports.py``, as above.
+BATCH_SAFE_METHODS: tuple[str, ...] = ("fedavg",)
 
 
 def create_trainer(
@@ -168,13 +161,11 @@ def create_trainer(
     to rebuild task data inside its workers.  ``population``
     (a spec like ``"pareto:1.5,churn=300/600"`` or a
     :class:`~repro.edge.arrivals.PopulationModel`) switches to the
-    event-driven :class:`~repro.federated.simulation.EventDrivenTrainer`,
+    event-driven :class:`~repro.federated.event_trainer.EventDrivenTrainer`,
     whose client presence follows that arrival/churn process in virtual
     time; ``None`` keeps the synchronous trainer.
     """
-    # imported here to avoid a circular import (core.client uses federated.base)
-    from ..core.client import FedKnowClient
-    from ..core.config import FedKnowConfig
+    from ..models.zoo import build_model
 
     if method not in ALL_METHODS:
         raise KeyError(f"unknown method {method!r}; known: {sorted(ALL_METHODS)}")
@@ -201,30 +192,27 @@ def create_trainer(
 
     client_rngs = spawn(rng, benchmark.num_clients)
     clients = []
-
+    client_path, server_path = _COMPOSITION.get(method, (_SGD, _FEDAVG))
+    client_cls, server_cls = _load(client_path), _load(server_path)
     if method == "flcn":
-        server: FedAvgServer = FLCNServer(model_factory(), rng=rng)
-    elif method == "fedweit":
-        server = FedWeitServer()
-    elif method == "fedvb":
-        server = FedVBServer()
+        server = server_cls(model_factory(), rng=rng)
     else:
-        server = FedAvgServer()
+        server = server_cls()
 
     for data, client_rng in zip(benchmark.clients, client_rngs):
         model = model_factory()
         if method in ("fedknow", "fedknow-fisher"):
-            client = FedKnowClient(
+            client = client_cls(
                 data.client_id, data, model, config,
                 model_factory=model_factory,
-                fedknow=method_kwargs.get("fedknow_config", FedKnowConfig()),
+                fedknow=method_kwargs.get("fedknow_config"),
                 rng=client_rng,
                 selector=resolved_selector,
             )
             # the registry's column name, not the client class's default
             client.method_name = method
         elif method == "fedweit":
-            client = FedWeitClient(
+            client = client_cls(
                 data.client_id, data, model, config, server=server,
                 rng=client_rng,
                 **{k: v for k, v in method_kwargs.items()
@@ -232,32 +220,34 @@ def create_trainer(
                             "adaptive_density", "use_foreign")},
             )
         elif method == "flcn":
-            client = FLCNClient(
+            client = client_cls(
                 data.client_id, data, model, config, server=server,
                 share_fraction=method_kwargs.get("share_fraction", 0.10),
                 rng=client_rng,
             )
         elif method == "apfl":
-            client = APFLClient(
+            client = client_cls(
                 data.client_id, data, model, config,
                 model_factory=model_factory, rng=client_rng,
             )
         elif method == "fedrep":
-            client = FedRepClient(
+            client = client_cls(
                 data.client_id, data, model, config, rng=client_rng
             )
         elif method == "fedvb":
-            client = FedVBClient(
+            client = client_cls(
                 data.client_id, data, model, config, rng=client_rng,
                 **{k: v for k, v in method_kwargs.items()
                    if k in ("prior_precision", "kl_weight", "init_jitter")},
             )
         elif method == "fedavg":
-            client = SGDClient(data.client_id, data, model, config, rng=client_rng)
+            client = client_cls(
+                data.client_id, data, model, config, rng=client_rng
+            )
         else:
             strategy_kwargs = method_kwargs.get("strategy_kwargs", {})
             strategy = CONTINUAL_STRATEGIES[method](**strategy_kwargs)
-            client = SGDClient(
+            client = client_cls(
                 data.client_id, data, model, config,
                 strategy=strategy, rng=client_rng,
             )
@@ -265,15 +255,17 @@ def create_trainer(
 
     cost_model = None
     if with_cost_model:
+        from ..edge.cost import ModelCostModel
+
         cost_model = ModelCostModel(
             clients[0].model, spec.model_name, dataset_name=spec.name
         )
-    trainer_cls: type[FederatedTrainer] = FederatedTrainer
     trainer_kwargs: dict = {}
-    if population is not None:
-        from .simulation import EventDrivenTrainer
+    if population is None:
+        from .trainer import FederatedTrainer as trainer_cls
+    else:
+        from .event_trainer import EventDrivenTrainer as trainer_cls
 
-        trainer_cls = EventDrivenTrainer
         trainer_kwargs["population"] = population
     return trainer_cls(
         server=server,

@@ -33,6 +33,7 @@ from ..nn.tensor import Tensor
 from ..utils.rng import get_rng
 from ..utils.serialization import SparseTensor, WireValue, decode_state
 from .protocol import ClientUpdate, ClientUpload
+from .slices import shard_slices
 
 #: Canonical merge granularity of the aggregation reduction tree.  A round's
 #: clients are split (in report order) into at most this many contiguous
@@ -46,29 +47,6 @@ from .protocol import ClientUpdate, ClientUpload
 #: this server for **any** shard count: both execute the same rounded float
 #: operations in the same order.
 MERGE_SEGMENTS = 64
-
-
-def shard_slices(num_items: int, num_shards: int) -> list[slice]:
-    """Contiguous, near-even partition of ``num_items`` into ``num_shards``.
-
-    The first ``num_items % num_shards`` shards carry one extra item; shards
-    never outnumber items (a 3-update round at ``K=16`` yields 3 shards), so
-    every shard covers at least one item.  Also defines the canonical merge
-    segments of the aggregation reduction tree (see :data:`MERGE_SEGMENTS`).
-    """
-    if num_shards < 1:
-        raise ValueError(f"need at least one shard, got {num_shards}")
-    if num_items < 1:
-        raise ValueError("cannot shard an empty round (zero reported clients)")
-    num_shards = min(num_shards, num_items)
-    base, extra = divmod(num_items, num_shards)
-    slices = []
-    start = 0
-    for shard in range(num_shards):
-        size = base + (1 if shard < extra else 0)
-        slices.append(slice(start, start + size))
-        start += size
-    return slices
 
 
 class StreamingAccumulator:

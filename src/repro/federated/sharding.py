@@ -38,12 +38,8 @@ from typing import Sequence
 import numpy as np
 
 from .protocol import ClientUpdate
-from .server import (
-    MERGE_SEGMENTS,
-    FedAvgServer,
-    StreamingAccumulator,
-    shard_slices,
-)
+from .server import MERGE_SEGMENTS, FedAvgServer, StreamingAccumulator
+from .slices import shard_slices
 
 __all__ = ["MERGE_SEGMENTS", "ShardedAggregator", "shard_slices"]
 

@@ -1,20 +1,24 @@
 """Model zoo: the paper's 6-layer CNN, ResNet-18, and the eight Fig. 9 DNNs."""
 
-from .base import ImageClassifier
-from .densenet import DenseNet, densenet
-from .inception import Inception, inception
-from .mobilenet import MobileNetV2, mobilenet_v2, mobilenet_v2_x2
-from .resnet import BasicBlock, Bottleneck, ResNet, resnet18, resnet152, resnext, wide_resnet
-from .senet import SEModule, senet18
-from .shufflenet import ShuffleNetV2, shufflenet_v2
-from .six_cnn import SixCNN
-from .zoo import (
-    FIG9_MODELS,
-    available_models,
-    build_model,
-    model_family,
-    register_model,
-)
+from .. import _lazy_exports
+
+__getattr__, __dir__ = _lazy_exports(__name__, {
+    ".base": ("ImageClassifier",),
+    ".densenet": ("DenseNet", "densenet"),
+    ".inception": ("Inception", "inception"),
+    ".mobilenet": ("MobileNetV2", "mobilenet_v2", "mobilenet_v2_x2"),
+    ".resnet": (
+        "BasicBlock", "Bottleneck", "ResNet", "resnet18", "resnet152",
+        "resnext", "wide_resnet",
+    ),
+    ".senet": ("SEModule", "senet18"),
+    ".shufflenet": ("ShuffleNetV2", "shufflenet_v2"),
+    ".six_cnn": ("SixCNN",),
+    ".zoo": (
+        "FIG9_MODELS", "available_models", "build_model", "model_family",
+        "register_model",
+    ),
+})
 
 __all__ = [
     "BasicBlock",

@@ -8,22 +8,20 @@ exploitation / attention / lightweight).
 
 from __future__ import annotations
 
-from typing import Callable
+from typing import TYPE_CHECKING, Callable
 
 import numpy as np
 
-from .base import ImageClassifier
-from .densenet import densenet
-from .inception import inception
-from .mobilenet import mobilenet_v2, mobilenet_v2_x2
-from .resnet import resnet18, resnet152, resnext, wide_resnet
-from .senet import senet18
-from .shufflenet import shufflenet_v2
-from .six_cnn import SixCNN
+from .. import _load
 
-ModelFactory = Callable[..., ImageClassifier]
+if TYPE_CHECKING:
+    from .base import ImageClassifier
 
-_REGISTRY: dict[str, ModelFactory] = {}
+ModelFactory = Callable[..., "ImageClassifier"]
+
+#: name -> factory, or the ``module:attr`` naming it until the model is
+#: first built: building a SixCNN imports no other architecture's module.
+_REGISTRY: dict[str, ModelFactory | str] = {}
 _FAMILIES: dict[str, str] = {}
 
 
@@ -41,19 +39,22 @@ def register_model(name: str, family: str) -> Callable[[ModelFactory], ModelFact
 
 
 def _register_defaults() -> None:
-    register_model("six_cnn", "baseline")(
-        lambda num_classes, **kw: SixCNN(num_classes, **kw)
-    )
-    register_model("resnet18", "depth")(resnet18)
-    register_model("resnet152", "depth")(resnet152)
-    register_model("wide_resnet", "width")(wide_resnet)
-    register_model("resnext", "width")(resnext)
-    register_model("inception", "width")(inception)
-    register_model("densenet", "multi-path")(densenet)
-    register_model("senet18", "feature-map")(senet18)
-    register_model("mobilenet_v2", "lightweight")(mobilenet_v2)
-    register_model("mobilenet_v2_x2", "lightweight")(mobilenet_v2_x2)
-    register_model("shufflenet_v2", "lightweight")(shufflenet_v2)
+    for name, family, factory in (
+        ("six_cnn", "baseline", "repro.models.six_cnn:SixCNN"),
+        ("resnet18", "depth", "repro.models.resnet:resnet18"),
+        ("resnet152", "depth", "repro.models.resnet:resnet152"),
+        ("wide_resnet", "width", "repro.models.resnet:wide_resnet"),
+        ("resnext", "width", "repro.models.resnet:resnext"),
+        ("inception", "width", "repro.models.inception:inception"),
+        ("densenet", "multi-path", "repro.models.densenet:densenet"),
+        ("senet18", "feature-map", "repro.models.senet:senet18"),
+        ("mobilenet_v2", "lightweight", "repro.models.mobilenet:mobilenet_v2"),
+        ("mobilenet_v2_x2", "lightweight",
+         "repro.models.mobilenet:mobilenet_v2_x2"),
+        ("shufflenet_v2", "lightweight",
+         "repro.models.shufflenet:shufflenet_v2"),
+    ):
+        register_model(name, family)(factory)
 
 
 _register_defaults()
@@ -93,6 +94,7 @@ def build_model(
     """Instantiate a registered model by name."""
     if name not in _REGISTRY:
         raise KeyError(f"unknown model {name!r}; known: {available_models()}")
-    return _REGISTRY[name](
-        num_classes, input_shape=input_shape, rng=rng, **kwargs
-    )
+    factory = _REGISTRY[name]
+    if isinstance(factory, str):
+        factory = _REGISTRY[name] = _load(factory)
+    return factory(num_classes, input_shape=input_shape, rng=rng, **kwargs)

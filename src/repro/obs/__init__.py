@@ -7,9 +7,20 @@ Spans are opt-in (``trace.TRACER`` is a null tracer until a
 swap the tracer underneath cached imports.
 """
 
-from .export import Telemetry, chrome_trace, write_chrome_trace, write_spans_jsonl
-from .metrics import METRICS, Counter, Gauge, Histogram, MetricsRegistry
-from .trace import NullTracer, Span, SpanContext, Tracer, current_context, set_tracer
+from .. import _lazy_exports
+
+__getattr__, __dir__ = _lazy_exports(__name__, {
+    ".export": (
+        "Telemetry", "chrome_trace", "write_chrome_trace", "write_spans_jsonl",
+    ),
+    ".metrics": (
+        "METRICS", "Counter", "Gauge", "Histogram", "MetricsRegistry",
+    ),
+    ".trace": (
+        "NullTracer", "Span", "SpanContext", "Tracer", "current_context",
+        "set_tracer",
+    ),
+})
 
 __all__ = [
     "METRICS",

@@ -16,20 +16,18 @@ or use ``create_trainer(..., engine="socket:W")`` for a self-managed
 worker pool on one host.
 """
 
-from .engine import ServeStateHandle, SocketRoundEngine
-from .rpc import (
-    MAGIC,
-    PROTOCOL_VERSION,
-    Connection,
-    ConnectionClosed,
-    MessageType,
-    ProtocolError,
-    RemoteError,
-    RpcError,
-    connect_with_retry,
-)
-from .server import FederationServer
-from .worker import ClientRef, WorkerSession, run_worker
+from .. import _lazy_exports
+
+__getattr__, __dir__ = _lazy_exports(__name__, {
+    ".engine": ("ServeStateHandle", "SocketRoundEngine"),
+    ".rpc": (
+        "MAGIC", "PROTOCOL_VERSION", "Connection", "ConnectionClosed",
+        "MessageType", "ProtocolError", "RemoteError", "RpcError",
+        "connect_with_retry",
+    ),
+    ".server": ("FederationServer",),
+    ".worker": ("ClientRef", "WorkerSession", "run_worker"),
+})
 
 __all__ = [
     "MAGIC",

@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+import importlib
+import inspect
+
 import pytest
 
 from repro.cli import FIGURES, main
@@ -189,6 +192,13 @@ class TestFigure:
                      "fig-scenarios", "fig-scaling", "fig-eventsim",
                      "fig-curvature"):
             assert name in FIGURES
+        # each figure's runners import, and take the figure's arguments
+        for runners, kwargs in FIGURES.values():
+            for runner in runners:
+                module, _, attr = runner.partition(":")
+                fn = getattr(importlib.import_module(
+                    f"repro.experiments.{module}"), attr)
+                inspect.signature(fn).bind(preset=None, **kwargs)
 
     def test_fig5_unit(self, capsys):
         from repro.experiments import clear_cache
