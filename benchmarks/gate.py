@@ -354,12 +354,22 @@ def hot_path_cases() -> dict[str, float]:
             )
         ),
         # event-driven population serving: 20k fixed clients through three
-        # overlapping rounds — gates the simulator's event-loop scheduling
-        # throughput (bench_micro asserts the absolute >= 10^4 clients/s bar)
+        # overlapping rounds — gates the simulator's scheduling throughput
+        # on long stretches of uploads, which it applies as numpy blocks
+        # (bench_micro asserts the absolute >= 10^4 clients/s bar)
         "eventsim_20k": best_seconds(
             lambda: PopulationSimulator(
                 20_000, population="fixed", num_rounds=3, shards=16,
                 max_staleness=2, seed=0,
+            ).run(),
+            repeats=3,
+        ),
+        # the same loop under heavy churn: returns and departures split the
+        # uploads into short stretches, so this times the per-event path
+        "eventsim_churn_20k": best_seconds(
+            lambda: PopulationSimulator(
+                20_000, population="fixed,churn=2/1", num_rounds=4,
+                shards=16, max_staleness=2, seed=0,
             ).run(),
             repeats=3,
         ),

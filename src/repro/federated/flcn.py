@@ -26,6 +26,9 @@ class FLCNClient(SGDClient):
     # shares raw samples with the live server mid-round; a worker-process
     # copy of the server would silently drop them
     process_safe = False
+    # the batched engine does not take flcn (``BATCH_SAFE_METHODS``); the
+    # default strategy's flag, which SGDClient reports, would say it does
+    batch_safe = False
 
     def __init__(
         self,

@@ -15,7 +15,8 @@ discrete-event simulator:
   block, so every simulation is exactly reproducible and no tie depends on
   which store an event sits in.  Events (:class:`Event`) are client arrivals and
   departures, upload completions, shard-local staleness cut-offs, round
-  closes, and evictions.
+  closes, and evictions.  Besides popping one event, the queue reads the
+  run events ahead of the heap head as one merged numpy block.
 * :class:`AsyncRoundLoop` — a long-lived server loop over a *lightweight*
   population (per-client numpy state, no real models): rounds overlap in
   the sense that stragglers' uploads from earlier rounds are still in
@@ -25,7 +26,9 @@ discrete-event simulator:
   closes late is aggregated at staleness ``s`` — or **evicted** when
   ``s > max_staleness``.  Each round's uploads enter the queue as one run,
   and the end of each client's training leg is counted as an event but
-  never queued, since nothing happens when it passes.  This is what scales
+  never queued, since nothing happens when it passes.  A long stretch of
+  run events between two heap events is applied as one numpy block; short
+  stretches and heap events go one event at a time.  This is what scales
   to the 10^5–10^6-client regime of ``fig-scaling``.
 * :class:`PopulationSimulator` — the user-facing facade: builds the
   population schedule (:mod:`repro.edge.arrivals`), derives per-client
@@ -92,18 +95,88 @@ class Event(NamedTuple):
 #: :class:`Event` objects at a time, so a long run never holds them all.
 _RUN_SLICE = 4096
 
+#: Sort keys past every event (``_NEVER``) and before every event
+#: (``_UNKNOWN``), comparable with :class:`Event` and ``(time, seq)`` pairs.
+_NEVER = (math.inf,)
+_UNKNOWN = (-math.inf,)
 
-def _run_events(times, seqs, kind, clients, round_index, generations):
-    """Yield a sorted run's :class:`Event`\\ s, ``_RUN_SLICE`` at a time."""
-    for start in range(0, len(times), _RUN_SLICE):
-        part = slice(start, start + _RUN_SLICE)
-        # tuple.__new__ on zipped rows builds each Event without a Python
-        # frame per event
-        yield from map(tuple.__new__, repeat(Event), zip(
-            times[part].tolist(), seqs[part].tolist(), repeat(kind),
-            clients[part].tolist(), repeat(round_index),
-            repeat(-1) if generations is None else generations[part].tolist(),
-        ))
+
+class _Run:
+    """A sorted run: its events as arrays plus a cursor ``pos``.
+
+    ``probe`` is a lower bound on the ``(time, seq)`` key of the event
+    ``min_events - 1`` past the cursor (``_NEVER`` when the run holds fewer):
+    scalar pops only move the cursor forward, so a probe taken at an earlier
+    cursor stays a lower bound until :meth:`seek` refreshes it.
+    """
+
+    __slots__ = ("times", "seqs", "kind", "clients", "round_index",
+                 "generations", "pos", "probe")
+
+    def __init__(self, times, seqs, kind, clients, round_index, generations):
+        self.times, self.seqs, self.kind = times, seqs, kind
+        self.clients, self.round_index = clients, round_index
+        self.generations = generations
+        self.pos = 0
+        self.probe = _UNKNOWN
+
+    def events(self):
+        """Yield the events from the cursor on, in slices that grow to
+        ``_RUN_SLICE``: a cursor that a block moves on is rebuilt for its
+        head event, which should not cost a full slice."""
+        times, seqs, clients = self.times, self.seqs, self.clients
+        generations = self.generations
+        start, size = self.pos, 16
+        while start < len(times):
+            part = slice(start, start + size)
+            # tuple.__new__ on zipped rows builds each Event without a
+            # Python frame per event
+            yield from map(tuple.__new__, repeat(Event), zip(
+                times[part].tolist(), seqs[part].tolist(), repeat(self.kind),
+                clients[part].tolist(), repeat(self.round_index),
+                repeat(-1) if generations is None
+                else generations[part].tolist(),
+            ))
+            start, size = start + size, min(4 * size, _RUN_SLICE)
+
+    def index(self, key) -> int:
+        """Index of the first event at or after the ``(time, seq)`` key."""
+        times = self.times
+        if key is _NEVER:
+            return len(times)
+        time, seq = key[0], key[1]
+        low = int(times.searchsorted(time))
+        high = int(times.searchsorted(time, side="right"))
+        if high > low:  # ties on time order by seq
+            low += int(self.seqs[low:high].searchsorted(seq))
+        return low
+
+    def key(self, index: int):
+        if index >= len(self.times):
+            return _NEVER
+        return float(self.times[index]), int(self.seqs[index])
+
+    def seek(self, head: Event, min_events: int) -> None:
+        """Put the cursor on ``head``, the run's next event, and re-probe."""
+        # scalar pops leave the cursor behind; a block leaves it on the head
+        if self.seqs[self.pos] != head.seq:
+            self.pos = self.index(head)
+        self.probe = self.key(self.pos + min_events - 1)
+
+
+class RunBlock(NamedTuple):
+    """Run events merged in ``(time, seq)`` order (:meth:`EventQueue.read_runs`).
+
+    Per-event arrays; ``parts`` holds the ``(cursor, start, stop)`` run
+    slices they merge, for :meth:`EventQueue.advance`.
+    """
+
+    times: np.ndarray
+    kinds: np.ndarray
+    clients: np.ndarray
+    round_index: np.ndarray
+    generations: np.ndarray
+    parts: list
 
 
 class EventQueue:
@@ -117,12 +190,19 @@ class EventQueue:
     one cursor per live run, so an event dispatches at the same point
     whichever store holds it.  Times must not be NaN: ``(time, seq)`` is
     then a total order.
+
+    :meth:`read_runs` is the bulk read: every run event ordered before the
+    heap head, merged into numpy arrays, once some run holds enough of
+    them; :meth:`advance` then takes the block, or the part of it up to a
+    time, off the runs, and :meth:`pop` carries on from there.
     """
 
     def __init__(self):
         self._heap: list[Event] = []
-        #: Min-heap of ``[head event, rest of the run]`` cursors.
+        #: Min-heap of ``[head event, rest of the run, _Run]`` cursors.
         self._runs: list[list] = []
+        #: Lower bound on every run's probe (see :meth:`read_runs`).
+        self._lead = _NEVER
         self._seq = 0
         self._size = 0
         #: Total events ever pushed (the loop's work measure).
@@ -136,7 +216,9 @@ class EventQueue:
         round_index: int = -1,
         generation: int = -1,
     ) -> Event:
-        event = Event(time, self._seq, int(kind), client, round_index, generation)
+        # tuple.__new__ skips the namedtuple constructor's Python frame
+        event = tuple.__new__(Event, (time, self._seq, int(kind), client,
+                                      round_index, generation))
         self._seq += 1
         self.pushed += 1
         self._size += 1
@@ -160,16 +242,23 @@ class EventQueue:
         count = len(times)
         if not count:
             return
-        # a stable sort by time is a sort by (time, seq)
-        order = np.argsort(times, kind="stable")
-        events = _run_events(
-            times[order], self._seq + order, int(kind), clients[order],
+        # a stable sort by time is a sort by (time, seq); without ties any
+        # sort is, and numpy's default one is several times faster
+        order = np.argsort(times)
+        ordered = times[order]
+        if (ordered[1:] == ordered[:-1]).any():
+            order = np.argsort(times, kind="stable")
+            ordered = times[order]
+        run = _Run(
+            ordered, self._seq + order, int(kind), clients[order],
             round_index, None if generations is None else generations[order],
         )
         self._seq += count
         self.pushed += count
         self._size += count
-        heapq.heappush(self._runs, [next(events), events])
+        self._lead = _UNKNOWN
+        events = run.events()
+        heapq.heappush(self._runs, [next(events), events, run])
 
     def pop(self) -> Event:
         runs, heap = self._runs, self._heap
@@ -193,6 +282,82 @@ class EventQueue:
             return runs[0][0]
         return heap[0] if heap else None
 
+    def read_runs(self, min_events: int, limit: int) -> RunBlock | None:
+        """The run events ordered before the heap head, merged in
+        ``(time, seq)`` order: ``None`` unless one run alone holds at least
+        ``min_events`` of them, and at most ``limit`` events from each run.
+
+        Until the heap head passes ``_lead``, the least probe, a call costs
+        one comparison; then the runs whose probe it passed are sought
+        again.  Nothing is consumed: :meth:`advance` takes the block off
+        the runs.
+        """
+        heap = self._heap
+        head = heap[0] if heap else _NEVER
+        if not self._lead < head:
+            return None
+        for cursor in self._runs:
+            if cursor[2].probe < head:
+                cursor[2].seek(cursor[0], min_events)
+        self._lead = min((cursor[2].probe for cursor in self._runs),
+                         default=_NEVER)
+        if not self._lead < head:
+            return None
+        for cursor in self._runs:  # the block needs every cursor current
+            cursor[2].seek(cursor[0], min_events)
+        # each run gives its events before the bound: the heap head, or the
+        # event `limit` past some run's cursor
+        bound = head
+        for cursor in self._runs:
+            run = cursor[2]
+            bound = min(bound, run.key(run.pos + limit))
+        parts = []
+        # seqs are reserved run by run, so runs in push order are in seq order
+        for cursor in sorted(self._runs, key=lambda cursor: cursor[0].seq):
+            run = cursor[2]
+            stop = run.index(bound)
+            if stop > run.pos:
+                parts.append((cursor, run.pos, stop))
+        runs = [(cursor[2], start, stop) for cursor, start, stop in parts]
+        sizes = [stop - start for _, start, stop in runs]
+        times = np.concatenate([run.times[a:b] for run, a, b in runs])
+        # a stable sort of runs laid out in seq order keeps seq order on ties
+        order = np.argsort(times, kind="stable") if len(runs) > 1 else None
+
+        def merged(values):
+            return values if order is None else values[order]
+
+        return RunBlock(
+            times=merged(times),
+            kinds=merged(np.repeat([run.kind for run, _, _ in runs], sizes)),
+            clients=merged(np.concatenate(
+                [run.clients[a:b] for run, a, b in runs])),
+            round_index=merged(np.repeat(
+                [run.round_index for run, _, _ in runs], sizes)),
+            generations=merged(np.concatenate([
+                np.full(b - a, -1) if run.generations is None
+                else run.generations[a:b] for run, a, b in runs
+            ])),
+            parts=parts,
+        )
+
+    def advance(self, block: RunBlock, until: float = math.inf) -> None:
+        """Take ``block``'s events at or before time ``until`` off the runs."""
+        taken = 0
+        for cursor, start, stop in block.parts:
+            run = cursor[2]
+            if until < run.times[stop - 1]:
+                stop = start + int(run.times[start:stop].searchsorted(
+                    until, side="right"))
+            taken += stop - start
+            run.pos, run.probe = stop, _UNKNOWN
+            events = run.events()
+            cursor[0], cursor[1] = next(events, None), events
+        self._size -= taken
+        self._runs = [cursor for cursor in self._runs if cursor[0] is not None]
+        heapq.heapify(self._runs)
+        self._lead = _UNKNOWN
+
     def __len__(self) -> int:
         return self._size
 
@@ -206,6 +371,21 @@ class EventQueue:
 
 #: ``spawn_key`` purpose of the per-round training-time jitter stream.
 _JITTER = 10
+
+#: A stretch of run events before the heap head goes to numpy as one block
+#: when a single run holds at least this many of them; shorter stretches
+#: pop one event at a time.  Set at the measured crossover: on a 2-vCPU
+#: SkylakeX host (numpy 2.4.6, Python 3.11), with every stretch timed on
+#: each path over 100k- and 20k-50k-client churn runs, a block cost about
+#: 150 us plus 0.2 us per event (three runs merged; 100 us for one), and a
+#: popped event 2.4 us at every stretch length: the two meet near 70.
+MIN_BLOCK = 64
+
+#: A block reads at most this many events from each run, so one cut short
+#: at a return merges at most this many per run in vain.  On the 100k-client
+#: ``fixed,churn=60/120`` run, 1024 / 4096 / 16384 / 65536 took 433 / 196 /
+#: 146 / 137 blocks and 0.21 / 0.17 / 0.16 / 0.16 s of CPU.
+_BLOCK_LIMIT = 16384
 
 
 @dataclass
@@ -241,6 +421,10 @@ class SimReport:
     peak_present: int = 0
     peak_inflight: int = 0
     wall_seconds: float = 0.0
+    #: How the loop dispatched, not what it simulated: numpy blocks and the
+    #: run events they covered (the rest popped one at a time).
+    blocks: int = field(default=0, compare=False)
+    block_events: int = field(default=0, compare=False)
 
     @property
     def virtual_seconds(self) -> float:
@@ -311,6 +495,18 @@ class AsyncRoundLoop:
       :attr:`EventKind.EVICTION` event and never aggregates;
     * a departure while an upload is in flight invalidates it (generation
       tag), counting it as *lost* — the round close never waits for it.
+
+    Dispatch.  Runs hold the bulk of the events (each round's upload
+    completions, each arrival wave's first departures); the heap holds the
+    few the loop creates as it goes.  When one run holds at least
+    :data:`MIN_BLOCK` events before the heap head, the loop reads the
+    whole stretch of run events before it as a block and applies it with
+    numpy.  Inside a block no shard closes and no round opens, a client
+    departs at most once and lands at most one upload of its generation,
+    and a departure's return would pop after every event up to its time,
+    so the block stops at the earliest return.  Returns and evictions go
+    on the heap in block order, so every report equals the one-event-at-a-
+    time loop's.  Shorter stretches pop one event at a time.
     """
 
     def __init__(
@@ -369,7 +565,7 @@ class AsyncRoundLoop:
         generation = np.zeros(n, dtype=np.int64)
         shard_round = [0] * len(self.shard_deadline)
         hist = report.staleness_hist
-        present_count = inflight = 0
+        present_count = 0
         # round k + 1 opens at round k's close, so every close is known now
         opens = [0.0]
         for _ in range(self.num_rounds):
@@ -437,17 +633,125 @@ class AsyncRoundLoop:
                            client=shard, round_index=round_index)
             queue.push(opens[round_index + 1], EventKind.ROUND_CLOSE,
                        round_index=round_index)
+            report.peak_inflight = max(report.peak_inflight,
+                                       int(np.count_nonzero(busy)))
+
+        offtime, shard_index = schedule.offtime, self.shard_of
+        # hot paths compare plain ints, and bind their lookups to locals
+        upload_complete, arrival, departure, shard_close, eviction = map(int, (
+            EventKind.UPLOAD_COMPLETE, EventKind.ARRIVAL, EventKind.DEPARTURE,
+            EventKind.SHARD_CLOSE, EventKind.EVICTION,
+        ))
+        pop, push, read_runs = queue.pop, queue.push, queue.read_runs
+        rounds = report.rounds
+        shard_of, max_staleness = self.shard_of.tolist(), self.max_staleness
+        departure_after = schedule.departure_after
+        return_after = schedule.return_after
+        blocks = block_events = 0
+
+        def dispatch(block: RunBlock) -> None:
+            """Apply a block of run events as the per-event branches would.
+
+            Only heap events change ``shard_round`` or open a round, so both
+            hold across the block, and every client departs at most once in
+            it (it returns through a heap arrival first).
+            """
+            nonlocal events, present_count, blocks, block_events
+            times, clients = block.times, block.clients
+            leaving = (block.kinds == departure).nonzero()[0]
+            gone = clients[leaving]
+            until = math.inf
+            if len(leaving):
+                back = times[leaving] + offtime[gone]
+                # a departure queues its return behind every queued event:
+                # it pops after every event up to its time, and what it
+                # queues may pop among the later ones, so the block ends at
+                # the earliest return
+                until = float(back.min())
+                size = int(times.searchsorted(until, side="right"))
+                if size < len(times):
+                    kept = int(leaving.searchsorted(size))
+                    leaving, gone, back = leaving[:kept], gone[:kept], back[:kept]
+                    times = times[:size]
+            size = len(times)
+            uploads = (block.kinds[:size] == upload_complete).nonzero()[0]
+            senders = clients[uploads]
+            # an upload counts under the generation it was scheduled in (so
+            # its client is busy, and present), unless its client departs
+            # before it in the block
+            valid = block.generations[uploads] == generation[senders]
+            if len(leaving):
+                # the departures' own effect, which also marks the uploads
+                # whose client departs somewhere in the block
+                present[gone] = False
+                doubt = (valid & ~present[senders]).nonzero()[0]
+                if len(doubt):
+                    order = gone.argsort()
+                    match = order[gone[order].searchsorted(senders[doubt])]
+                    valid[doubt] = leaving[match] > uploads[doubt]
+            uploads, senders = uploads[valid], senders[valid]
+            busy[senders] = False
+            if len(leaving):
+                # still busy: no upload of its own landed earlier in the block
+                rounds[-1].lost += int(np.count_nonzero(busy[gone]))
+                busy[gone] = False
+                generation[gone] += 1
+                present_count -= len(gone)
+            sent = block.round_index[uploads]
+            late = np.array(shard_round)[shard_index[senders]] - sent
+            over = late > max_staleness
+            evicted = over.nonzero()[0]
+            if len(evicted):
+                late, sent = late[~over], sent[~over]
+            if len(late):
+                tally = np.bincount(late)
+                values = tally.nonzero()[0].tolist()
+                # a staleness seen first here enters the histogram in the
+                # order the per-event branch would have met it
+                first = {value: int((late == value).argmax())
+                         for value in values if value not in hist}
+                for value in sorted(first, key=first.get):
+                    hist[value] = 0
+                for value in values:
+                    hist[value] += int(tally[value])
+                fresh = np.bincount(sent[late == 0])
+                for index in fresh.nonzero()[0].tolist():
+                    rounds[index].reported += int(fresh[index])
+                rounds[-1].stale += len(late) - int(tally[0])
+            # returns and evictions join the heap in block order, taking the
+            # seqs the per-event branches would have given them
+            pushes = [
+                (at, when, arrival, cid, -1)
+                for at, when, cid in zip(leaving.tolist(), back.tolist(),
+                                         gone.tolist())
+                if when <= final_close  # a later return never pops
+            ] if len(leaving) else []
+            if len(evicted):
+                at = uploads[evicted]
+                pushes += zip(at.tolist(), times[at].tolist(), repeat(eviction),
+                              senders[evicted].tolist(),
+                              block.round_index[at].tolist())
+                pushes.sort()
+            for _, when, kind, cid, round_index in pushes:
+                push(when, kind, client=cid, round_index=round_index)
+            queue.advance(block, until)
+            events += size
+            blocks += 1
+            block_events += size
 
         events = 0
         open_round(0)
-        inflight = int(busy.sum())
-        report.peak_inflight = max(report.peak_inflight, inflight)
-        # the upload branch runs once per scheduled client: its lookups
-        # are bound to locals
-        pop, rounds = queue.pop, report.rounds
-        shard_of, max_staleness = self.shard_of.tolist(), self.max_staleness
-        upload_complete = EventKind.UPLOAD_COMPLETE
+        min_block = MIN_BLOCK
+        check = True
         while True:
+            if check:
+                # pushes only pull the heap head earlier, so a run can get
+                # MIN_BLOCK events ahead of it only when a heap event pops
+                block = read_runs(min_block, _BLOCK_LIMIT)
+                if block is not None:
+                    dispatch(block)
+                    continue
+                check = False
             event = pop()
             events += 1
             kind = event.kind
@@ -456,7 +760,6 @@ class AsyncRoundLoop:
                 if event.generation != generation[cid]:
                     continue  # departed mid-flight; loss counted there
                 busy[cid] = False
-                inflight -= 1
                 late = shard_round[shard_of[cid]] - event.round_index
                 if late <= max_staleness:
                     hist[late] = hist.get(late, 0) + 1
@@ -465,31 +768,34 @@ class AsyncRoundLoop:
                     else:
                         rounds[-1].stale += 1
                 else:
-                    queue.push(event.time, EventKind.EVICTION,
-                               client=cid, round_index=event.round_index)
-            elif kind == EventKind.ARRIVAL:
+                    push(event.time, eviction,
+                         client=cid, round_index=event.round_index)
+                continue
+            check = True
+            if kind == arrival:
                 # a churned client returning online
                 cid = event.client
                 present[cid] = True
                 present_count += 1
-                report.peak_present = max(report.peak_present, present_count)
-                if schedule.has_churn:
-                    queue.push(schedule.departure_after(cid, event.time),
-                               EventKind.DEPARTURE, client=cid)
-            elif kind == EventKind.DEPARTURE:
+                if present_count > report.peak_present:
+                    report.peak_present = present_count
+                leave = departure_after(cid, event.time)
+                if leave <= final_close:  # a later departure never pops
+                    push(leave, departure, client=cid)
+            elif kind == departure:
                 cid = event.client
                 present[cid] = False
                 present_count -= 1
                 generation[cid] += 1
                 if busy[cid]:
                     busy[cid] = False
-                    inflight -= 1
                     rounds[-1].lost += 1
-                queue.push(schedule.return_after(cid, event.time),
-                           EventKind.ARRIVAL, client=cid)
-            elif kind == EventKind.SHARD_CLOSE:
+                back = return_after(cid, event.time)
+                if back <= final_close:  # a later return never pops
+                    push(back, arrival, client=cid)
+            elif kind == shard_close:
                 shard_round[event.client] = event.round_index + 1
-            elif kind == EventKind.EVICTION:
+            elif kind == eviction:
                 rounds[-1].evicted += 1
             else:  # ROUND_CLOSE
                 stats = rounds[event.round_index]
@@ -498,8 +804,8 @@ class AsyncRoundLoop:
                 if event.round_index + 1 >= self.num_rounds:
                     break
                 open_round(event.round_index + 1)
-                inflight = int(busy.sum())
-                report.peak_inflight = max(report.peak_inflight, inflight)
+        report.blocks += blocks
+        report.block_events += block_events
         report.events += events
         return report
 
@@ -596,7 +902,9 @@ class PopulationSimulator:
         ) as span:
             self.loop.run(report)
             span.attrs.update(events=report.events,
-                              evicted=report.evicted, lost=report.lost)
+                              evicted=report.evicted, lost=report.lost,
+                              blocks=report.blocks,
+                              block_events=report.block_events)
         report.wall_seconds = time.perf_counter() - started
         registry = _obs_metrics.METRICS
         registry.counter("sim.events").inc(report.events)

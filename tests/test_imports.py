@@ -230,13 +230,17 @@ def test_the_engine_tables_match_the_class_flags():
     assert BATCH_SAFE_METHODS == tuple(
         name for name, strategy in strategies.items() if strategy.batch_safe
     )
-    # process-unsafe: every method whose client class clears the flag
+    # process-unsafe: every method whose client class clears the flag; and
+    # the clients a trainer builds report batch-safe exactly for the table
     spec = cifar100_like(train_per_class=2, test_per_class=1).with_tasks(2)
     bench = build_benchmark(spec, num_clients=1, rng=np.random.default_rng(0))
-    unsafe = []
+    unsafe, batchable = [], []
     for method in ALL_METHODS:
         with create_trainer(method, bench, TrainConfig(),
                             with_cost_model=False) as trainer:
             if not type(trainer.clients[0]).process_safe:
                 unsafe.append(method)
+            if trainer.clients[0].batch_safe:
+                batchable.append(method)
     assert sorted(PROCESS_UNSAFE_METHODS) == sorted(unsafe)
+    assert sorted(BATCH_SAFE_METHODS) == sorted(batchable)

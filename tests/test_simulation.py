@@ -20,6 +20,7 @@ from repro.data import cifar100_like, create_scenario
 from repro.edge import (
     CHURN_SIGMA,
     PopulationModel,
+    PopulationSchedule,
     create_population,
 )
 from repro.federated import (
@@ -34,6 +35,7 @@ from repro.federated import (
     TrainConfig,
     create_trainer,
 )
+from repro.federated import simulation
 from repro.federated.simulation import _JITTER
 
 
@@ -358,6 +360,54 @@ class TestAgainstHeapReference:
         )
         # 4 arrivals, 4 train ends, 1 shard close, 1 round close
         assert report.events == 10
+
+    @pytest.mark.parametrize("population, seed", [
+        ("fixed,churn=2/1", 7),
+        ("uniform:4,churn=3/5", 0),
+    ])
+    def test_long_blocks_cut_at_returns(self, population, seed):
+        """2,000 clients: long stretches of run events, cut short by the
+        returns of their own departures; tight deadlines evict.  At these
+        seeds a stretch holds a client's departure before its own upload,
+        which it voids, and another's upload before its departure, which
+        then loses nothing."""
+        sim = PopulationSimulator(
+            2_000, population, num_rounds=4, shards=16, max_staleness=1,
+            slack=0.5, seed=seed, jitter_sigma=0.4,
+        )
+        report = assert_matches_reference(sim.loop)
+        assert report.evicted and report.lost and report.staleness_hist[1]
+
+    def test_a_return_inside_a_stretch_queues_before_later_departures(self):
+        """Client 0 leaves at 0.5 and is back at 0.625, inside the stretch
+        of departures before the first close; client 1 leaves at 0.75.  So
+        client 0's next departure is queued before client 1's return, and
+        at their tie (1.125) it pops first: client 1's return then makes
+        no new peak, and client 2 leaves (1.1875) before client 0 is back.
+        A stretch applied past client 0's return would queue client 1's
+        return first, and count 4 present."""
+        schedule = PopulationSchedule(
+            arrival=np.array([0.0, 0.0, 0.0, 0.5]),
+            session=np.array([0.5, 0.75, 1.1875, 4.0]),
+            offtime=np.array([0.125, 0.375, 4.0, 4.0]),
+        )
+        loop = AsyncRoundLoop(
+            schedule, np.full(4, 0.03125), np.full(4, 0.03125),
+            np.full(4, 1.0), num_rounds=2, jitter_sigma=0.0,
+        )
+        report = assert_matches_reference(loop)
+        assert report.peak_present == 3
+
+
+class TestEachDispatchPath(TestAgainstHeapReference):
+    """The heap-reference cases with every stretch of run events sent to
+    numpy (``MIN_BLOCK`` 1) and with every event popped one at a time
+    (``MIN_BLOCK`` past any run's length)."""
+
+    @pytest.fixture(autouse=True, params=[1, 1 << 62],
+                    ids=["numpy", "per-event"])
+    def min_block(self, request, monkeypatch):
+        monkeypatch.setattr(simulation, "MIN_BLOCK", request.param)
 
 
 class TestAsyncRoundLoop:
