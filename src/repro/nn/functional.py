@@ -9,21 +9,24 @@ and task-masked variants).
 A convolution copies its padded input's windows once, into one column
 buffer per call laid out ``(client, group, K, sample x L)``.  Its forward is
 one GEMM per (client, sample, group) reading that buffer through a view,
-and its input gradient on strided convs (and on one-column outputs) is one
-``Wᵀ @ g`` GEMM per (client, sample, group) folded by col2im: the same
-calls the im2col kernel before it issued.  Two GEMMs rely on a property of
-the BLAS instead.  The weight gradient is ``(K x N·L) @ gᵀ`` on the forward's
-buffer, the operands of the old ``g @ colsᵀ`` swapped; and a stride-1
-conv's input gradient is computed on the padded width, so col2im is
-``kh * kw`` contiguous adds, which relies on a product's extra columns not
-changing the rounding of the others.  On OpenBLAS 0.3.31 both match the
-old kernel bit for bit on the SixCNN shapes (``tests/test_kernels.py``);
-on grouped, depthwise and odd shapes the weight gradient stays within
-``1e-5`` of its largest entry, and outputs, input and bias gradients match
-bitwise.  The input gradient is computed a slice of clients at a time
-into its ``(B, N, C, H, W)`` result, so its temporaries hold about 1 MB
-or one client, whichever is more.  A 2x2 / stride-2 max-pool on even maps
-compares four strided views; other pools keep im2col and argmax.
+the calls the im2col kernel before it issued, and so is a strided conv's
+input gradient: ``Wᵀ @ g`` per (client, sample, group), folded by col2im.
+Two GEMMs rely on properties of the BLAS instead.  The weight gradient is
+``(K x N·L) @ gᵀ`` on the forward's buffer, the operands of the old
+``g @ colsᵀ`` swapped.  A stride-1 conv's input gradient is one GEMM per
+kernel offset for all samples of a client at once, folded into the padded
+input by one contiguous add per offset (``_conv2d_input_grad``), which
+relies on an element's rounding not depending on the rows and columns it
+shares a product with.  On OpenBLAS 0.3.31's SkylakeX kernels both match
+the old kernel bit for bit on the SixCNN shapes, and the input gradient
+does on every shape ``tests/test_kernels.py`` and
+``tests/test_functional.py`` try; on grouped, depthwise and odd shapes the
+weight gradient stays within ``1e-5`` of its largest entry, and outputs
+and bias gradients match bitwise.  The input gradient is computed a slice
+of clients at a time into its ``(B, N, C, H, W)`` result, so its
+temporaries hold about 1 MB or one client, whichever is more.  A 2x2 /
+stride-2 max-pool on even maps compares four strided views; other pools
+keep im2col and argmax.
 
 Every operator is a registered :class:`~repro.nn.graph.OpDef`, so a model built
 from these functions can be captured on a :class:`~repro.nn.graph.GraphTape`
@@ -216,23 +219,54 @@ def _conv2d_bfwd(ctx, *arrays, sh, sw, ph, pw, groups):
 #: (median of 41 interleaved pairs); 1 MB slices read 0.95x.
 _INPUT_GRAD_SLICE_BYTES = 1 << 20
 
+#: The stride-1 input gradient pads its products with zero columns to a
+#: multiple of this width.  OpenBLAS 0.3.31's SkylakeX SGEMM rounds the last
+#: columns of a small product (M·N·K up to about 100³, dot products of 32
+#: terms or more) unlike the others when its width is 1-8 past a multiple
+#: of 16; padded, every real column sits in a full block of 16.
+_GEMM_COLUMNS = 16
 
-def _conv2d_input_grad(w_t, g, dims, conv):
+
+def _conv2d_input_grad(w_g, g, dims, conv):
     """A conv's input gradient, ``(B, N, C, H, W)``, a slice of clients at
     a time.
 
-    The GEMMs are the per-(client, sample, group) calls of the whole
-    batch, so the bits are the same, but the padded gradient, gradient
-    columns and fold buffer only ever hold one slice.
+    ``w_g`` is the forward's ``(B, G, CoG, C/G·kh·kw)`` weight.  On a
+    stride-1 conv the gradient is one GEMM per kernel offset ``(i, j)``
+    and slice, ``W[:, :, i, j]ᵀ @ g`` for all samples at once: ``(C/G x
+    CoG) @ (CoG x N·rows·width)`` per (client, group), with each sample's
+    ``g`` in the top-left corner of a zeroed ``rows x width`` frame.
+    Flattened over (client, channel, sample, row, column), that product
+    lands on the padded input shifted by ``s = i·width + j``, so the fold
+    is one contiguous add per offset, ``fold[s:] += prod[:T - s]``.  A
+    frame is the padded input without its bottom and right borders: those
+    positions are cropped away, so the next frame's top border and the
+    next row's left border stand in for them.
+
+    The bits are im2col's.  Each product element contracts over the output
+    channels as im2col's per-(client, sample, group) ``Wᵀ @ g`` did, and
+    each input position receives the same products in im2col's (i, j)
+    order, into a fold that starts at +0.  The shifted runs also carry the
+    frames' zeros onto neighbouring rows, samples and channels (and real
+    products onto border positions, which are cropped); but ``Wᵀ @ 0`` is
+    ±0 for finite weights, and adding ±0 to a sum that started at +0
+    leaves it as it was.  Strided convs keep im2col's per-sample GEMM and
+    col2im, and so do convs where one of the two products is a GEMV and
+    the other a GEMM, which round differently: one-column outputs
+    (``oh·ow == 1``), and one input channel per group feeding several
+    outputs.
+
+    A slice holds as many clients as keep its frames, product and fold
+    within ``_INPUT_GRAD_SLICE_BYTES`` (at least one).
     """
     b, n, c, h, w, groups, cog, oh, ow, kh, kw = dims
     sh, sw, ph, pw = conv
-    hp, wp = h + 2 * ph, w + 2 * pw
+    c_g = c // groups
     gx = np.empty((b, n, c, h, w), dtype=g.dtype)
-    if sh != 1 or sw != 1 or oh * ow == 1:
-        # im2col's fold (a one-column product would run as a GEMV, the
-        # padded one below as a GEMM, and the two round differently)
-        client_bytes = g.itemsize * n * c * (kh * kw * oh * ow + hp * wp)
+    if sh != 1 or sw != 1 or oh * ow == 1 or (c_g == 1 and cog > 1):
+        w_t = w_g[:, None].swapaxes(-1, -2)
+        padded_size = (h + 2 * ph) * (w + 2 * pw)
+        client_bytes = g.itemsize * n * c * (kh * kw * oh * ow + padded_size)
         step = max(1, min(b, _INPUT_GRAD_SLICE_BYTES // client_bytes))
         g_g = g.reshape(b, n, groups, cog, oh * ow)
         for lo in range(0, b, step):
@@ -242,37 +276,39 @@ def _conv2d_input_grad(w_t, g, dims, conv):
             folded = col2im(grad_cols, (k * n, c, h, w), kh, kw, sh, sw, ph, pw)
             gx[lo : lo + k] = folded.reshape(k, n, c, h, w)
         return gx
-    # stride 1: computed on the padded width.  Each output row of ``g``
-    # gains ``kw - 1`` zero columns, so a window row of the gradient
-    # columns is one contiguous run of the flattened padded image and
-    # col2im is ``kh * kw`` contiguous adds in im2col's (i, j) order.  The
-    # real columns of ``Wᵀ @ g`` come out as in the compact product; the
-    # extra ones hold ``Wᵀ @ 0 = ±0``, and adding ±0 leaves any sum that
-    # started at +0 as it was.
-    client_bytes = g.itemsize * n * wp * (
-        groups * cog * oh + c * kh * kw * oh + c * hp
-    )
+    # a frame holds the output and the input behind its top and left borders
+    rows, width = max(oh, h + ph), max(ow, w + pw)
+    frames = n * rows * width
+    cols = -(-frames // _GEMM_COLUMNS) * _GEMM_COLUMNS
+    client_bytes = g.itemsize * cols * (groups * cog + 2 * c)
     step = max(1, min(b, _INPUT_GRAD_SLICE_BYTES // client_bytes))
-    gp = np.empty((step, n, groups * cog, oh, wp), dtype=g.dtype)
-    gp[..., ow:] = 0
-    flat = np.empty((step * n, c, hp * wp), dtype=g.dtype)
-    # the last row's extra columns would run past the image: drop them
-    span = oh * wp - (kw - 1)
+    # offset-major weight: w_off[:, i * kw + j] is (B, G, C/G, CoG)
+    w_off = w_g.reshape(b, groups, cog, c_g, kh * kw).transpose(0, 4, 1, 3, 2)
+    w_off = np.ascontiguousarray(w_off)
+    grid = np.empty((step, groups * cog, cols), dtype=g.dtype)
+    grid[..., frames:] = 0
+    grid_frames = grid[..., :frames].reshape(step, groups * cog, n, rows, width)
+    grid_frames[..., oh:, :] = 0
+    grid_frames[..., :oh, ow:] = 0
+    prod = np.empty((step, groups, c_g, cols), dtype=g.dtype)
+    fold = np.empty((step, c, cols), dtype=g.dtype)
+    fold_frames = fold[..., :frames].reshape(step, c, n, rows, width)
     for lo in range(0, b, step):
         k = min(step, b - lo)
-        gp[:k, ..., :ow] = g[lo : lo + k]
-        grad_cols = np.matmul(
-            w_t[lo : lo + k], gp[:k].reshape(k, n, groups, cog, oh * wp)
-        )
-        grad_cols = grad_cols.reshape(k * n, c, kh, kw, oh * wp)
-        fold = flat[: k * n]
-        fold.fill(0)
+        grid_frames[:k, ..., :oh, :ow] = g[lo : lo + k].transpose(0, 2, 1, 3, 4)
+        grid_k = grid[:k].reshape(k, groups, cog, cols)
+        prod_k = prod[:k]
+        prod_flat = prod_k.reshape(-1)
+        fold_flat = fold[:k].reshape(-1)
+        fold_flat.fill(0)
+        total = fold_flat.size
         for i in range(kh):
             for j in range(kw):
-                start = i * wp + j
-                fold[:, :, start : start + span] += grad_cols[:, :, i, j, :span]
-        fold = fold.reshape(k, n, c, hp, wp)
-        gx[lo : lo + k] = fold[..., ph : ph + h, pw : pw + w]
+                s = i * width + j
+                np.matmul(w_off[lo : lo + k, i * kw + j], grid_k, out=prod_k)
+                fold_flat[s:] += prod_flat[: total - s]
+        crop = fold_frames[:k, ..., ph : ph + h, pw : pw + w]
+        gx[lo : lo + k] = crop.transpose(0, 2, 1, 3, 4)
     return gx
 
 
@@ -294,8 +330,7 @@ def _conv2d_bvjp(ctx, g):
         gw = np.matmul(ctx["cols"], g_t)
         gw = gw.swapaxes(-1, -2).reshape(ctx["w_shape"])
     if needs[0]:
-        w_t = ctx["w_g"][:, None].swapaxes(-1, -2)
-        gx = _conv2d_input_grad(w_t, g, dims, ctx["conv"])
+        gx = _conv2d_input_grad(ctx["w_g"], g, dims, ctx["conv"])
     if len(needs) > 2:
         return (gx, gw, gb)
     return (gx, gw)

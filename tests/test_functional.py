@@ -2,13 +2,18 @@
 
 from __future__ import annotations
 
+import tracemalloc
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
+from test_kernels import GRADS_BITWISE, assert_bitwise, assert_close, ref_col2im
 
 from repro.nn import Tensor
 from repro.nn import functional as F
+from repro.nn.graph import OPS
 
 
 def t(data, grad=True):
@@ -77,6 +82,143 @@ class TestConv2d:
         w = t(rng.normal(size=(3, 2, 3, 3)))
         with pytest.raises(ValueError):
             F.conv2d(x, w, groups=2)
+
+
+def ref_input_grad(weight, g, padding, groups):
+    """im2col's stride-1 input gradient: ``Wᵀ @ g`` per (client, sample,
+    group), folded by col2im.  ``weight`` is ``(B, C_out, C/G, kh, kw)``
+    and ``g`` ``(B, N, C_out, OH, OW)``."""
+    b, n, c_out, oh, ow = g.shape
+    c_g, kh, kw = weight.shape[2:]
+    ph, pw = padding
+    h, w = oh + kh - 1 - 2 * ph, ow + kw - 1 - 2 * pw
+    cog = c_out // groups
+    cols = np.empty((b, n, groups, c_g * kh * kw, oh * ow), dtype=g.dtype)
+    for client in range(b):
+        for sample in range(n):
+            for group in range(groups):
+                out = slice(group * cog, (group + 1) * cog)
+                w_t = weight[client, out].reshape(cog, -1).T
+                cols[client, sample, group] = w_t @ g[client, sample, out].reshape(cog, -1)
+    gx = ref_col2im(cols.reshape(b * n, -1, oh * ow), (b * n, groups * c_g, h, w),
+                    kh, kw, 1, 1, ph, pw)
+    return gx.reshape(b, n, groups * c_g, h, w)
+
+
+def conv_forward(x, weight, padding, groups):
+    """The context of a batched stride-1 conv forward that wants only the
+    input gradient."""
+    ctx = {"arg_batched": (True, True), "needs": (True, False)}
+    ph, pw = padding
+    OPS["conv2d"].batched_forward(ctx, x, weight, sh=1, sw=1, ph=ph, pw=pw,
+                                  groups=groups)
+    return ctx
+
+
+def conv_input_grad(ctx, g):
+    return OPS["conv2d"].batched_vjp(ctx, g)[0]
+
+
+def relu_like_cotangent(rng, *shape):
+    """Uniform values, about 40% of them exact zeros and a fifth of those
+    ``-0``, as a ReLU mask leaves a conv's output gradient."""
+    g = rng.uniform(-1.0, 1.0, size=shape).astype(np.float32)
+    zeros = rng.random(shape) < 0.4
+    g[zeros] = 0.0
+    g[zeros & (rng.random(shape) < 0.2)] = -0.0
+    return g
+
+
+#: name -> (C_in, C_out, (H, W), (kh, kw), (ph, pw), groups, batch)
+INPUT_GRAD_CASES = {
+    "1x3-7x5-pad0,1": (8, 16, (7, 5), (1, 3), (0, 1), 1, 5),
+    "3x1-6x9-pad1,0": (8, 16, (6, 9), (3, 1), (1, 0), 1, 4),
+    "2x3-7x5-pad2,1": (8, 16, (7, 5), (2, 3), (2, 1), 1, 3),
+    "3x3-6x9-pad0": (8, 16, (6, 9), (3, 3), (0, 0), 1, 3),
+    "3x3-5x7-pad3": (8, 16, (5, 7), (3, 3), (3, 3), 1, 2),
+    "1x1-7x5": (8, 16, (7, 5), (1, 1), (0, 0), 1, 3),
+    "3x3-1x1-pad1": (8, 16, (1, 1), (3, 3), (1, 1), 1, 4),
+    "groups2-3x3-7x5": (8, 16, (7, 5), (3, 3), (1, 1), 2, 3),
+    "depthwise-3x3-6x9": (8, 8, (6, 9), (3, 3), (1, 1), 8, 3),
+    # one input channel: a product per offset would be a GEMV
+    "1to64-3x3-6x8": (1, 64, (6, 8), (3, 3), (1, 1), 1, 2),
+    # 54-position frames: without zero columns up to a multiple of 16, the
+    # product's last six columns hold real outputs
+    "1x3-6x8-pad0,1-32out": (8, 32, (6, 8), (1, 3), (0, 1), 1, 1),
+}
+
+
+class TestConvInputGrad:
+    """The stride-1 input gradient on shapes ``tests/test_kernels.py``'s
+    grid lacks, against im2col's, by that file's rule: bitwise where
+    numpy's OpenBLAS runs its SkylakeX kernels, within ``1e-5 * max|ref|``
+    elsewhere."""
+
+    @staticmethod
+    def check(new, ref, what):
+        if GRADS_BITWISE:
+            assert_bitwise(new, ref, what)
+        else:
+            assert_close(new, ref, what)
+
+    @staticmethod
+    def case(name, clients, rng):
+        c_in, c_out, (h, w), (kh, kw), (ph, pw), groups, batch = INPUT_GRAD_CASES[name]
+        x = rng.uniform(-1, 1, (clients, batch, c_in, h, w)).astype(np.float32)
+        weight = rng.uniform(
+            -1, 1, (clients, c_out, c_in // groups, kh, kw)
+        ).astype(np.float32)
+        oh, ow = h + 2 * ph - kh + 1, w + 2 * pw - kw + 1
+        g = relu_like_cotangent(rng, clients, batch, c_out, oh, ow)
+        return x, weight, g, (ph, pw), groups
+
+    @pytest.mark.parametrize("clients", [1, 3])
+    @pytest.mark.parametrize("name", sorted(INPUT_GRAD_CASES))
+    def test_matches_im2col(self, name, clients):
+        rng = np.random.default_rng(sum(map(ord, name)) + clients)
+        x, weight, g, padding, groups = self.case(name, clients, rng)
+        new = conv_input_grad(conv_forward(x, weight, padding, groups), g)
+        self.check(new, ref_input_grad(weight, g, padding, groups), name)
+
+    def test_a_shorter_last_slice(self):
+        """Slices of two clients, then one: each slice's fold starts from
+        zeros again."""
+        rng = np.random.default_rng(5)
+        x, weight, g, padding, groups = self.case("2x3-7x5-pad2,1", 5, rng)
+        ref = ref_input_grad(weight, g, padding, groups)
+        ctx = conv_forward(x, weight, padding, groups)
+        patterns = set()
+        for limit in (1 << k for k in range(10, 20)):
+            with mock.patch.object(F, "_INPUT_GRAD_SLICE_BYTES", limit), \
+                    mock.patch.object(np, "matmul", wraps=np.matmul) as spy:
+                new = conv_input_grad(ctx, g)
+            self.check(new, ref, f"slices of at most {limit} bytes")
+            slices = [c.args[0].shape[0] for c in spy.call_args_list]
+            patterns.add(tuple(dict.fromkeys(slices)))
+        assert (2, 1) in patterns, patterns
+
+    @pytest.mark.parametrize("clients,batch,bound_mb", [(16, 8, 1.5), (1, 64, 5.0)])
+    def test_temporaries_on_sixcnn(self, clients, batch, bound_mb):
+        """Peak traced bytes above the returned gradient on SixCNN's
+        16->16 16x16 layer (1.04 and 3.56 MB; the padded-width kernel
+        before the per-offset one held 2.97 and 13.2 MB)."""
+        rng = np.random.default_rng(0)
+        x = rng.uniform(-1, 1, (clients, batch, 16, 16, 16)).astype(np.float32)
+        weight = rng.uniform(-1, 1, (clients, 16, 16, 3, 3)).astype(np.float32)
+        g = relu_like_cotangent(rng, clients, batch, 16, 16, 16)
+        ctx = conv_forward(x, weight, (1, 1), 1)
+        started = not tracemalloc.is_tracing()
+        if started:
+            tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            tracemalloc.reset_peak()
+            gx = conv_input_grad(ctx, g)
+            peak = tracemalloc.get_traced_memory()[1] - base - gx.nbytes
+        finally:
+            if started:
+                tracemalloc.stop()
+        assert peak / 1e6 < bound_mb
 
 
 class TestPooling:
