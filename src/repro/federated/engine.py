@@ -28,10 +28,13 @@ The trainer talks to an engine only through the hooks :class:`RoundEngine`
 declares, each with an in-process default: ``rejects``/``bind`` (which
 clients it can run, and the factory that rebuilds their task data),
 ``begin_task``, ``map``, ``share_state``, ``sharded_aggregator``,
-``collect_clients`` and ``close``.  Phases mutate the clients they are
+``collect_clients`` and ``close``.  Every call that touches client state
+reaches the clients through ``map``: the round phases, and the task
+boundary's begin and end phases.  Phases mutate the clients they are
 mapped over and return only their results; an engine that runs clients
-elsewhere keeps the mutated replicas there and hands them back through
-``collect_clients`` at the end of each task.
+elsewhere keeps the mutated replicas there, across tasks, and hands copies
+back through ``collect_clients`` after each task's end phase, as the
+trainer's checkpoint for worker-death recovery.
 """
 
 from __future__ import annotations
@@ -121,11 +124,17 @@ class RoundEngine:
         In-process engines never lose an item.  An engine whose workers can
         die returns ``None`` in a lost item's slot instead of raising; the
         trainer drops that client from the round and records it as lost.
+
+        A phase with a true ``task_boundary`` attribute (the trainer's begin
+        and end phases) runs in item order on in-process engines: some
+        methods' ``begin_task``/``end_task`` feed the live server in client
+        order (FLCN's sample buffer, FedWEIT's adaptive registry).
         """
         raise NotImplementedError
 
     def begin_task(self, position: int) -> None:
-        """Task-boundary hook (the socket engine resets its workers here)."""
+        """Task-boundary hook, called before the begin phase (the socket
+        engine admits waiting workers and rebalances its clients here)."""
 
     def share_state(self, state: Mapping[str, np.ndarray]) -> StateHandle:
         """Wrap a global state for broadcast to this engine's executors."""
@@ -148,7 +157,7 @@ class RoundEngine:
         return ShardedAggregator(server, shards)
 
     def collect_clients(self) -> list[FederatedClient]:
-        """Client replicas this engine holds that are newer than the
+        """Copies of the client replicas this engine holds, newer than the
         trainer's own (none in-process: phases mutate the trainer's)."""
         return []
 
@@ -193,7 +202,7 @@ class ThreadedRoundEngine(RoundEngine):
 
     def map(self, fn: Callable[[T], R], items: Iterable[T]) -> list[R]:
         items = list(items)
-        if len(items) <= 1:
+        if len(items) <= 1 or getattr(fn, "task_boundary", False):
             return [fn(item) for item in items]
         tracer = _obs_trace.TRACER
         if not tracer.enabled:

@@ -37,8 +37,9 @@ class EventDrivenTrainer(FederatedTrainer):
     """A :class:`FederatedTrainer` whose population lives in virtual time.
 
     Presence is governed by a :class:`~repro.edge.arrivals.PopulationModel`
-    unrolled through the event queue: clients join mid-sequence (their
-    ``begin_task`` rides the lazy task stream on arrival), leave mid-round
+    unrolled through the event queue: clients join mid-sequence (the
+    arrivals one drain admits run ``begin_task`` together, in one begin
+    phase, riding the lazy task stream), leave mid-round
     (forfeiting in-flight uploads and pending straggler carry), and each
     round's close advances the virtual clock (``self.clock``) past the
     round's train/upload completion events.
@@ -73,6 +74,8 @@ class EventDrivenTrainer(FederatedTrainer):
         self.events_processed = 0
         self._present: set[int] = set()
         self._begun: set[int] = set()
+        #: Clients admitted to the current task but not begun yet.
+        self._arrivals: list = []
         self._position: int | None = None
         #: client_id -> virtual completion time of its in-flight upload.
         self._upload_ends: dict[int, float] = {}
@@ -95,12 +98,19 @@ class EventDrivenTrainer(FederatedTrainer):
         ]
 
     def _begin_client(self, client) -> None:
+        """Admit ``client`` to the current task (begun by the next
+        :meth:`_begin_arrivals`)."""
         if self._position is None or client.client_id in self._begun:
             return
-        client.begin_task(self._position)
         self._begun.add(client.client_id)
-        if not self._check_memory(client):
-            self._oom.add(client.client_id)
+        self._arrivals.append(client)
+
+    def _begin_arrivals(self) -> None:
+        """Begin every admitted client in one begin phase, the ones that
+        left again since included."""
+        if self._arrivals:
+            arrivals, self._arrivals = self._arrivals, []
+            self._begin_clients(self._position, arrivals)
 
     def _dispatch(self, event: Event) -> None:
         self.events_processed += 1
@@ -134,12 +144,14 @@ class EventDrivenTrainer(FederatedTrainer):
         # round content was already computed by the inherited round body
 
     def _drain_until(self, until: float) -> None:
-        """Dispatch every event scheduled at or before ``until``."""
+        """Dispatch every event scheduled at or before ``until``, then
+        begin the clients it admitted."""
         while self.queue:
             head = self.queue.peek()
             if head.time > until:
                 break
             self._dispatch(self.queue.pop())
+        self._begin_arrivals()
 
     def _advance_to_presence(self) -> None:
         """Advance the clock until somebody is online (or raise)."""
@@ -156,12 +168,14 @@ class EventDrivenTrainer(FederatedTrainer):
 
     # -- task-stage lifecycle ------------------------------------------
     def _begin_position(self, position: int):
+        self.engine.begin_task(position)
         self._position = position
         self._begun = set()
         self._drain_until(self.clock)
         self._advance_to_presence()
         for client in list(self.active_clients()):
             self._begin_client(client)
+        self._begin_arrivals()
         active = self.active_clients()
         if not active:
             raise RuntimeError(
@@ -169,7 +183,6 @@ class EventDrivenTrainer(FederatedTrainer):
                 f"{position}"
             )
         self.policy.begin_task(position)
-        self.engine.begin_task(position)
         return active
 
     # -- round lifecycle -----------------------------------------------

@@ -24,9 +24,11 @@ policies:
   work of a phase: the serial engine preserves the reference execution
   order, while the thread and socket engines run the clients of a round
   concurrently with bit-identical results.  Phases are picklable callables
-  that mutate their client and return only their result; the trainer
-  reaches the engine only through the hooks ``RoundEngine`` declares, and
-  adopts the replicas an engine hands back at the end of each task;
+  that mutate their client and return only their result: every call that
+  touches client state, ``begin_task`` and ``end_task`` with the stage's
+  evaluation included.  The trainer reaches the engine only through the
+  hooks ``RoundEngine`` declares, and keeps the replicas an engine hands
+  back after each task's end phase as its checkpoint;
 * a :class:`~repro.federated.transport.Transport` owns everything between
   ``prepare_upload`` and ``aggregate_updates``: per-client channels price
   every payload (wire v1/v2, dense/delta/sparse uploads, optional fp16),
@@ -122,6 +124,51 @@ class RoundContext:
         return self.cost_model.real_sample_store_bytes(our_bytes)
 
 
+#: How many times a task-boundary phase is mapped over the clients whose
+#: worker died under it before the trainer gives up.
+LIFECYCLE_ATTEMPTS = 3
+
+
+def _resume(client: FederatedClient, position: int) -> None:
+    """Begin ``position`` on a replica re-shipped from the trainer's
+    checkpoint (an earlier task's) after its worker died."""
+    if client.position != position:
+        client.begin_task(position)
+
+
+class _BeginPhase:
+    """One client's begin-task leg; returns ``extra_state_bytes()`` for the
+    trainer's out-of-memory check."""
+
+    task_boundary = True
+
+    def __init__(self, position: int):
+        self.position = position
+
+    def __call__(self, client: FederatedClient) -> dict[str, int]:
+        client.begin_task(self.position)
+        return client.extra_state_bytes()
+
+
+class _EndPhase:
+    """One client's end-of-task leg: ``end_task`` (knowledge extraction) on
+    a client still in ``active``, then its accuracy on every task up to
+    ``position``, which it returns."""
+
+    task_boundary = True
+
+    def __init__(self, position: int, active: frozenset[int]):
+        self.position = position
+        self.active = active
+
+    def __call__(self, client: FederatedClient) -> list[float]:
+        if client.client_id in self.active:
+            _resume(client, self.position)
+            client.end_task()
+            client.take_compute_units()
+        return client.evaluate(self.position)
+
+
 class _TrainPhase:
     """One client's local-training + upload leg of a round.
 
@@ -129,10 +176,12 @@ class _TrainPhase:
     Trains the client in place and returns its :class:`ClientUpdate`.
     """
 
-    def __init__(self, ctx: RoundContext):
+    def __init__(self, ctx: RoundContext, position: int):
         self.ctx = ctx
+        self.position = position
 
     def __call__(self, client: FederatedClient) -> ClientUpdate:
+        _resume(client, self.position)
         tracer = _obs_trace.TRACER
         if not tracer.enabled:
             return self._train(client)
@@ -179,13 +228,16 @@ class _ReceivePhase:
     """
 
     def __init__(
-        self, ctx: RoundContext, handle: StateHandle, round_index: int
+        self, ctx: RoundContext, handle: StateHandle, round_index: int,
+        position: int,
     ):
         self.ctx = ctx
         self.handle = handle
         self.round_index = round_index
+        self.position = position
 
     def __call__(self, client: FederatedClient) -> tuple[int, float]:
+        _resume(client, self.position)
         state = self.handle.resolve()
         channel = self.ctx.channel_for(client)
         down = self.ctx.real_bytes(
@@ -261,6 +313,10 @@ class FederatedTrainer:
         self._client_index = {
             client.client_id: index for index, client in enumerate(clients)
         }
+        #: Task data, reattached to checkpoint replicas that came without.
+        self._client_data = {
+            client.client_id: client.data for client in clients
+        }
         self._oom: set[int] = set()
 
     # ------------------------------------------------------------------
@@ -309,12 +365,14 @@ class FederatedTrainer:
     def _channel_for(self, client: FederatedClient) -> Channel:
         return self._ctx.channel_for(client)
 
-    def _check_memory(self, client: FederatedClient) -> bool:
-        """True if the client's device can hold its training state."""
+    def _check_memory(
+        self, client: FederatedClient, extra: dict[str, int]
+    ) -> bool:
+        """True if the client's device can hold its training state
+        (``extra``: its ``extra_state_bytes()`` from the begin phase)."""
         if self.cost_model is None:
             return True
         device = self._device_for(client)
-        extra = client.extra_state_bytes()
         required = (
             self.cost_model.training_memory_bytes(self.config.batch_size)
             + self.cost_model.real_state_bytes(extra.get("model", 0))
@@ -436,7 +494,9 @@ class FederatedTrainer:
         plan = self.policy.plan_round(position, round_index, active_ids)
         participants = [by_id[cid] for cid in plan.participants if cid in by_id]
 
-        mapped = self.engine.map(_TrainPhase(self._ctx), participants)
+        mapped = self.engine.map(
+            _TrainPhase(self._ctx, position), participants
+        )
         fresh: list[ClientUpdate] = []
         lost: set[int] = set()
         # synchronous barrier: the round waits for its slowest trainer, but a
@@ -498,7 +558,9 @@ class FederatedTrainer:
                 handle = self.engine.share_state(global_state)
                 try:
                     received = self.engine.map(
-                        _ReceivePhase(self._ctx, handle, round_index),
+                        _ReceivePhase(
+                            self._ctx, handle, round_index, position
+                        ),
                         receivers,
                     )
                 finally:
@@ -587,42 +649,75 @@ class FederatedTrainer:
         """
         return outcome
 
+    def _map_lifecycle(self, phase, clients: list[FederatedClient]) -> list:
+        """Map a task-boundary phase, which unlike a round loses no client:
+        a dead worker's clients re-ship from the checkpoint and run it
+        again."""
+        results: list = [None] * len(clients)
+        pending = list(range(len(clients)))
+        for _ in range(LIFECYCLE_ATTEMPTS):
+            mapped = self.engine.map(phase, [clients[i] for i in pending])
+            for index, result in zip(pending, mapped):
+                results[index] = result
+            pending = [i for i in pending if results[i] is None]
+            if not pending:
+                return results
+        raise RuntimeError(
+            f"{type(phase).__name__} lost clients to dead workers "
+            f"{LIFECYCLE_ATTEMPTS} times"
+        )
+
+    def _begin_clients(
+        self, position: int, clients: list[FederatedClient]
+    ) -> None:
+        """Begin ``clients``; those whose device cannot hold the method's
+        state any more (e.g. FedWEIT on the 2 GB Raspberry Pi) leave the
+        federation permanently, as in Section V-B."""
+        extras = self._map_lifecycle(_BeginPhase(position), clients)
+        for client, extra in zip(clients, extras):
+            if not self._check_memory(client, extra):
+                self._oom.add(client.client_id)
+
     def _begin_position(self, position: int) -> list[FederatedClient]:
         """Advance every active client to task ``position``; returns them."""
-        for client in self.active_clients():
-            client.begin_task(position)
-            if not self._check_memory(client):
-                # The device cannot hold the method's state any more
-                # (e.g. FedWEIT on the 2 GB Raspberry Pi): it drops out of
-                # federation permanently, as in Section V-B.
-                self._oom.add(client.client_id)
+        self.engine.begin_task(position)
+        self._begin_clients(position, self.active_clients())
         active = self.active_clients()
         if not active:
             raise RuntimeError(
                 f"all clients ran out of memory before task stage {position}"
             )
         self.policy.begin_task(position)
-        self.engine.begin_task(position)
         return active
 
+    def _end_position(self, position: int) -> list[list[float]]:
+        """Close task ``position``: the end phase on every client, then the
+        checkpoint.  Returns each client's accuracies, in client order."""
+        active = frozenset(c.client_id for c in self.active_clients())
+        evals = self._map_lifecycle(_EndPhase(position, active), self.clients)
+        self._sync_engine_clients()
+        return evals
+
     def _sync_engine_clients(self) -> None:
-        """Adopt the authoritative client replicas the engine holds.
+        """Adopt the engine's client replicas as the checkpoint.
 
         Sticky-affinity engines (:class:`~repro.serve.engine.SocketRoundEngine`)
-        keep the live client replicas on their workers between rounds, so
-        the parent's copies go stale during a task.  Before anything reads
-        client state outside a round (end-of-task evaluation, knowledge
-        extraction), the workers' replicas are collected and replace the
-        parent's; task data stays parent-side when the replicas travel
-        without it.  In-process engines collect nothing.
+        keep the live replicas on their workers across tasks.  A client
+        re-ships from its checkpoint when its worker dies; nothing else runs
+        on it, and it gets no task data until the run returns.  In-process
+        engines collect nothing.
         """
         for client in self.engine.collect_clients():
             index = self._client_index.get(client.client_id)
-            if index is None:
-                continue
-            if client.data is None and self.clients[index].data is not None:
-                client.attach_data(self.clients[index].data)
-            self.clients[index] = client
+            if index is not None:
+                self.clients[index] = client
+
+    def _attach_client_data(self) -> None:
+        """Give collected replicas their task data back, before the
+        trainer hands its clients to a caller."""
+        for client in self.clients:
+            if client.data is None:
+                client.attach_data(self._client_data[client.client_id])
 
     def run_task(
         self, position: int, num_rounds: int | None = None
@@ -642,6 +737,7 @@ class FederatedTrainer:
             for round_index in range(num_rounds)
         ]
         self._sync_engine_clients()
+        self._attach_client_data()
         return records
 
     def run(self, num_positions: int | None = None) -> RunResult:
@@ -661,14 +757,8 @@ class FederatedTrainer:
             self._begin_position(position)
             for round_index in range(self.config.rounds_per_task):
                 rounds.append(self._run_round(position, round_index))
-            self._sync_engine_clients()
-            for client in self.active_clients():
-                client.end_task()
-                client.take_compute_units()
-
-            stage_evals.append(
-                [client.evaluate(position) for client in self.clients]
-            )
+            stage_evals.append(self._end_position(position))
+        self._attach_client_data()
 
         matrix = accuracy_matrix_from_client_evals(stage_evals)
         return RunResult(

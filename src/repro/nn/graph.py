@@ -63,6 +63,8 @@ from . import profiler as _profiler
 
 #: Every tape replay (forward-only or grad, batched or not) bumps this.
 _TAPE_REPLAYS = _obs_metrics.METRICS.counter("tape.replays")
+#: Every tape ``model_tape`` captures.
+_TAPE_CAPTURES = _obs_metrics.METRICS.counter("tape.captures")
 
 
 def _unbroadcast(grad: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
@@ -720,6 +722,7 @@ def model_tape(
     if entry is None:
         try:
             entry = _capture_model(model, fn, inputs)
+            _TAPE_CAPTURES.inc()
         except NotImplementedError as refusal:
             entry = str(refusal)
         model._tapes[key] = entry

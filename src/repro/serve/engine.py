@@ -13,27 +13,37 @@ the machinery:
   mode and also blocks in ``wait_for_workers`` at startup).
 
 **Sticky worker↔client affinity.**  A client is assigned to a worker the
-first time it is mapped and stays there: the full client object crosses the
-socket once, later dispatches ship a :class:`~repro.serve.worker.ClientRef`
-stub, and phases return only their results — momentum buffers, optimiser
-and RNG state stay on the worker between rounds.  The parent's replicas go
-stale during a task; ``collect_clients`` ships the authoritative worker
-replicas back for end-of-task evaluation, and task boundaries RESET every
-cache and rebalance affinity over the workers then alive.
+first time it is mapped and stays there, across rounds and task
+boundaries: the full client object crosses the socket once, later
+dispatches ship a :class:`~repro.serve.worker.ClientRef` stub, and phases
+return only their results — momentum buffers, optimiser and RNG state,
+captured tapes and task data stay on the worker.  Task boundaries are
+phases too (the trainer's begin and end phases), so they run where the
+clients live.  ``collect_clients`` ships the worker replicas back after
+each task's end phase: the parent keeps them as the checkpoint a client
+re-ships from when its worker dies, and runs nothing on them.
+
+**Rebalancing.**  At a task boundary, :meth:`begin_task` admits waiting
+workers.  If the set of live workers changed since the last boundary, the
+fewest clients needed move from the most-loaded workers to the
+least-loaded: each ships from the checkpoint, and its old worker drops its
+replica with the next frame it receives.  Otherwise no client moves.
 
 **Task data.**  With a data factory installed (:meth:`bind`), a client's
-first crossing and its COLLECT return both travel without ``client.data``:
-the worker rebuilds the task data from the factory once, when it adopts
-the replica.  Without a factory the data travels with the client.
+crossings and its COLLECT return travel without ``client.data``: the
+worker rebuilds the task data from the factory once, when it adopts the
+replica, and the parent's checkpoints carry none until the trainer hands
+its clients back.  Without a factory the data travels with the client.
 
 **Failure containment.**  When a worker dies mid-phase (socket error or
 read timeout), its items come back as ``None`` instead of poisoning the
 round — the trainer drops the lost clients from the round (the
 participation policy already tolerates fewer reports than planned) and
-records them on the :class:`~repro.metrics.tracker.RoundRecord`.  The dead
-worker's clients are reassigned to surviving workers from the parent's
-last-synced replicas; a fresh broadcast re-synchronizes their weights on
-the next round.
+records them on the :class:`~repro.metrics.tracker.RoundRecord`, or runs
+a task-boundary phase again for them.  The dead worker's clients are
+reassigned to surviving workers from the parent's checkpoint; a replica
+from an earlier task begins the current one first, and a fresh broadcast
+re-synchronizes its weights on the next round.
 
 Results are bit-identical to the serial engine: clients are independent
 within a round, the per-client float operations are unchanged, and outputs
@@ -102,8 +112,13 @@ class ServeStateHandle(StateHandle):
         fd, path = tempfile.mkstemp(
             prefix="repro-broadcast-", suffix=".state", dir=shm_dir
         )
-        with os.fdopen(fd, "wb") as handle:
-            handle.write(payload)
+        try:
+            with os.fdopen(fd, "wb") as handle:
+                handle.write(payload)
+        except BaseException:
+            # no handle exists to release the file (a full tmpfs: ENOSPC)
+            os.unlink(path)
+            raise
         self.path = path
         self.token = uuid.uuid4().hex
         self._local: Mapping[str, np.ndarray] | None = dict(state)
@@ -134,8 +149,15 @@ class _WorkerLink:
         self.alive = True
         #: Client ids whose authoritative replica lives on this worker.
         self.cached: set[int] = set()
-        #: Affinity load counter (clients assigned since the last rebalance).
+        #: Affinity load: the clients pinned to this worker.
         self.assigned = 0
+        #: Client ids moved away, whose replicas this worker drops when it
+        #: receives its next PHASE or COLLECT frame.
+        self.release: set[int] = set()
+
+    def take_release(self) -> tuple[int, ...]:
+        release, self.release = tuple(sorted(self.release)), set()
+        return release
 
 
 def _spawned_worker(host: str, port: int) -> None:
@@ -172,6 +194,11 @@ class SocketRoundEngine(RoundEngine):
         self._links: list[_WorkerLink] = []
         self._processes: list[multiprocessing.Process] = []
         self._affinity: dict[int, _WorkerLink] = {}
+        #: Every client id ever placed on a worker (pinned or orphaned by a
+        #: worker death): the count a rebalance spreads.
+        self._placed: set[int] = set()
+        #: Worker ids live at the last task boundary.
+        self._boundary_workers: frozenset[int] | None = None
         self._next_worker_id = 0
         self._probe_path: str | None = None
         self._probe_token: str | None = None
@@ -292,20 +319,20 @@ class SocketRoundEngine(RoundEngine):
     # ------------------------------------------------------------------
     # failure containment
     # ------------------------------------------------------------------
-    def _mark_dead(self, link: _WorkerLink) -> None:
+    def _mark_dead(self, link: _WorkerLink, where: str = "mid-round") -> None:
         if not link.alive:
             return
         link.alive = False
         link.conn.close()
         _obs_metrics.METRICS.warn(
             "serve.workers_lost",
-            f"worker {link.worker_id} lost mid-round; its clients are "
+            f"worker {link.worker_id} lost {where}; its clients are "
             f"reassigned at the next dispatch",
             worker_id=link.worker_id,
             cached_clients=len(link.cached),
         )
         # unpin the dead worker's clients: the next dispatch reassigns them
-        # to surviving workers from the parent's last-synced replicas
+        # to surviving workers from the parent's checkpoint
         for client_id in [
             cid for cid, owner in self._affinity.items() if owner is link
         ]:
@@ -345,14 +372,53 @@ class SocketRoundEngine(RoundEngine):
         link = min(live, key=lambda l: (l.assigned, l.worker_id))
         link.assigned += 1
         self._affinity[client_id] = link
+        self._placed.add(client_id)
         return link
 
+    def _rebalance(self) -> None:
+        """Spread the placed clients evenly over the live workers, moving
+        the fewest.
+
+        The most-loaded workers keep the larger shares; each worker over
+        its share unpins its highest client ids and drops their replicas
+        with its next frame.  Unpinned clients, and those of dead workers,
+        go to the least-loaded workers at their next dispatch.
+        """
+        live = sorted(self._live(), key=lambda l: (-l.assigned, l.worker_id))
+        share, larger = divmod(len(self._placed), len(live))
+        for rank, link in enumerate(live):
+            excess = link.assigned - share - (rank < larger)
+            if excess <= 0:
+                continue
+            pinned = sorted(
+                cid for cid, owner in self._affinity.items() if owner is link
+            )
+            for client_id in pinned[-excess:]:
+                del self._affinity[client_id]
+                link.cached.discard(client_id)
+                link.release.add(client_id)
+            link.assigned -= excess
+
     def map(self, fn: Callable[[T], R], items: Iterable[T]) -> list[R]:
+        tracer = _obs_trace.TRACER
+        if tracer.enabled and tracer.current_context() is None:
+            # worker spans need a parent on this side: a map outside every
+            # span (a task boundary) opens one, under the name the e2e
+            # harness gives the maps it wraps
+            with tracer.span("engine_map"):
+                return self._map(fn, items)
+        return self._map(fn, items)
+
+    def _map(self, fn: Callable[[T], R], items: Iterable[T]) -> list[R]:
         items = list(items)
         if not items:
             return []
         self._ensure_workers()
         live = self._live()
+        where = (
+            f"in task-boundary phase {type(fn).__name__}"
+            if getattr(fn, "task_boundary", False) else "mid-round"
+        )
         # injected into every PHASE payload so worker-side spans stitch
         # under the caller's open (round) span; None when tracing is off
         span_ctx = _obs_trace.current_context()
@@ -381,10 +447,12 @@ class SocketRoundEngine(RoundEngine):
             try:
                 link.conn.send(
                     MessageType.PHASE,
-                    dumps_without_data((fn, wire, span_ctx), shed),
+                    dumps_without_data(
+                        (fn, wire, span_ctx, link.take_release()), shed
+                    ),
                 )
             except RpcError:
-                self._mark_dead(link)
+                self._mark_dead(link, where)
                 continue
             link.cached.update(client.client_id for client in crossing)
             pending.append(link)
@@ -399,7 +467,7 @@ class SocketRoundEngine(RoundEngine):
                 phase_error = phase_error or exc
                 continue
             except RpcError:
-                self._mark_dead(link)
+                self._mark_dead(link, where)
                 continue
             if telemetry is not None:
                 _obs_trace.TRACER.absorb(telemetry[0])
@@ -413,18 +481,14 @@ class SocketRoundEngine(RoundEngine):
     def begin_task(self, position: int) -> None:
         if self._listener is None:
             return
-        # (re)admissions happen at task boundaries too, then every cache is
-        # dropped and affinity rebalances over the workers alive right now
+        # (re)admissions happen at task boundaries too; clients move only
+        # when the set of live workers changed since the last boundary
         self.poll_admissions()
-        for link in self._live():
-            try:
-                link.conn.send(MessageType.RESET)
-            except RpcError:
-                self._mark_dead(link)
-                continue
-            link.cached = set()
-            link.assigned = 0
-        self._affinity = {}
+        live = self._live()
+        workers = frozenset(link.worker_id for link in live)
+        if live and workers != self._boundary_workers:
+            self._rebalance()
+        self._boundary_workers = workers
 
     def share_state(self, state: Mapping[str, np.ndarray]) -> StateHandle:
         payload = encode_state(dict(state))
@@ -440,19 +504,20 @@ class SocketRoundEngine(RoundEngine):
         return handle
 
     # ------------------------------------------------------------------
-    # end-of-task sync
+    # the checkpoint
     # ------------------------------------------------------------------
     def collect_clients(self) -> list[FederatedClient]:
-        """Ship every worker's cached client replicas back (authoritative)."""
+        """Ship every worker's client replicas back (the trainer's
+        checkpoint for worker-death recovery)."""
         collected: list[FederatedClient] = []
         for link in self._live():
-            if not link.cached:
+            if not (link.cached or link.release):
                 continue
             try:
-                link.conn.send(MessageType.COLLECT)
+                link.conn.send_obj(MessageType.COLLECT, link.take_release())
                 _, clients = link.conn.expect(MessageType.RESULT)
             except RpcError:
-                self._mark_dead(link)
+                self._mark_dead(link, "at the checkpoint")
                 continue
             collected.extend(clients)
         return collected
@@ -471,6 +536,8 @@ class SocketRoundEngine(RoundEngine):
             link.conn.close()
         self._links = []
         self._affinity = {}
+        self._placed = set()
+        self._boundary_workers = None
         for process in self._processes:
             process.join(timeout=5.0)
             if process.is_alive():  # pragma: no cover - stuck worker

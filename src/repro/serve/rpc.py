@@ -36,7 +36,9 @@ MAGIC = b"RSRV"
 #: v2: PHASE payloads carry a span context, RESULT payloads a telemetry
 #: tail (worker spans + metrics delta) — see :mod:`repro.obs`.
 #: v3: RESULT payloads are ``(results, telemetry)``; type bytes 9-10 retired.
-PROTOCOL_VERSION = 3
+#: v4: replicas persist across tasks: RESET (type byte 7) retired; PHASE
+#: payloads and COLLECT frames carry the ids of replicas to drop.
+PROTOCOL_VERSION = 4
 
 # Cached instrument handles (always-on; ``drain`` zeroes them in place).
 _FRAMES_SENT = _obs_metrics.METRICS.counter("rpc.frames_sent")
@@ -65,7 +67,6 @@ class MessageType(enum.IntEnum):
     PHASE = 4            # server -> worker: run a phase over assigned items
     RESULT = 5           # worker -> server: phase results (+ telemetry)
     STATE = 6            # server -> worker: framed global-state broadcast
-    RESET = 7            # server -> worker: task boundary, drop caches
     COLLECT = 8          # server -> worker: ship cached client replicas back
     ERROR = 11           # either side: remote exception (payload: message)
     BYE = 12             # server -> worker: shut down cleanly

@@ -6,7 +6,10 @@ and the trainer built over it.  It stays up across rounds and worker
 failures: workers connect (and reconnect) whenever they like, are admitted
 at the next round boundary, and a worker that dies mid-round only loses its
 own clients for that round — the participation policy replans with whoever
-reports, and the round is recorded with its ``lost`` count.
+reports, and the round is recorded with its ``lost`` count.  Clients stay
+on their workers across task boundaries, which run there too; a worker
+that joins between tasks takes its share of the clients at the next
+boundary.
 
 Aggregation happens here, on the server: every RESULT frame already carries
 each :class:`~repro.federated.protocol.ClientUpdate` with its full state,
@@ -137,8 +140,10 @@ class FederationServer:
         return records
 
     def sync_clients(self) -> None:
-        """Adopt the workers' authoritative client replicas parent-side."""
+        """Adopt the workers' client replicas parent-side, with their task
+        data (the replicas stay live on the workers too)."""
         self.trainer._sync_engine_clients()
+        self.trainer._attach_client_data()
 
     def close(self) -> None:
         self.trainer.close()

@@ -5,22 +5,26 @@ A worker process connects to the :class:`~repro.serve.server.FederationServer`
 the version handshake, and then serves frames until the server says BYE or
 the connection drops:
 
-* **PHASE** — run a phase callable over this worker's assigned items.  The
-  worker keeps **persistent client replicas**: a client crosses the socket
-  once, is cached by id, and every later round's dispatch ships a tiny
-  :class:`ClientRef` stub instead — momentum buffers, RNG state and method
-  state stay put.  A replica that arrives without its task data gets it
-  rebuilt once, on adoption, from the WELCOME's pickled data factory.
-  Every result, update states included, goes back whole in the RESULT
-  frame; the worker keeps none of them, and the server aggregates.
+* **PHASE** — run a phase callable over this worker's assigned items:
+  round training and download, and the trainer's task-boundary phases
+  (``begin_task``; ``end_task`` with the stage's evaluation).  The worker
+  keeps **persistent client replicas** across rounds and tasks: a client
+  crosses the socket once, is cached by id, and every later dispatch ships
+  a tiny :class:`ClientRef` stub instead — momentum buffers, RNG state,
+  method state, captured tapes and task data stay put.  A replica that
+  arrives without its task data gets it rebuilt once, on adoption, from
+  the WELCOME's pickled data factory.  Every result, update states
+  included, goes back whole in the RESULT frame; the worker keeps none of
+  them, and the server aggregates.
 * **STATE** — a framed global-state broadcast for remote workers; local
   workers read the tmpfs file instead and never receive this frame.  Both
   land in one broadcast store (:func:`resolve_broadcast`).
-* **RESET** — task boundary: drop client replicas, broadcasts and the
-  materialized task-data cache.
 * **COLLECT** — ship the cached client replicas back (without
-  factory-rebuilt task data) so the trainer can run end-of-task evaluation
-  on authoritative state.
+  factory-rebuilt task data): the server's checkpoint for worker-death
+  recovery, taken after each task's end phase.
+
+PHASE and COLLECT frames both carry the ids of replicas the server moved to
+another worker; the worker drops those before anything else.
 
 Phase exceptions travel back as ERROR frames (the engine re-raises them
 parent-side); only protocol violations and a dead socket end the loop.
@@ -74,13 +78,17 @@ def dumps_without_data(obj, clients: Sequence[FederatedClient]) -> bytes:
 
     Task data is deterministic, so the receiving side rebuilds (or already
     holds) it instead of paying to ship the arrays; ``clients`` keep their
-    data on this side.
+    data on this side (a checkpoint replica that arrived without data
+    leaves without it).
     """
-    detached = [client.detach_data() for client in clients]
+    detached = [
+        (client, client.detach_data())
+        for client in clients if client.data is not None
+    ]
     try:
         return pickle.dumps(obj, protocol=5)
     finally:
-        for client, data in zip(clients, detached):
+        for client, data in detached:
             client.attach_data(data)
 
 
@@ -136,7 +144,7 @@ class WorkerSession:
         #: Picklable :class:`~repro.data.scenario.ClientDataFactory` that
         #: rebuilds task data for replicas shipped without it (or None).
         self.data_factory = data_factory
-        #: client_id -> ClientData, built lazily from the factory per task.
+        #: client_id -> ClientData, built lazily from the factory once.
         self._task_data: dict | None = None
         #: Persistent client replicas, by client id (the affinity cache).
         self.clients: dict[int, FederatedClient] = {}
@@ -163,9 +171,9 @@ class WorkerSession:
     def _client_data(self, client_id: int):
         """Rebuild (and cache) one client's task data from the factory.
 
-        The factory builds the whole lazy benchmark once per task —
-        O(clients) thanks to lazy task streams — and each task's arrays
-        materialize only when a client of this worker reaches it.
+        The factory builds the whole lazy benchmark once — O(clients)
+        thanks to lazy task streams — and each task's arrays materialize
+        only when a client of this worker reaches it.
         Determinism of the scenario API guarantees the rebuilt arrays equal
         the parent's.
         """
@@ -199,9 +207,15 @@ class WorkerSession:
             self.clients[item.client_id] = item
         return item
 
+    def _release(self, client_ids) -> None:
+        """Drop the replicas of clients the server moved elsewhere."""
+        for client_id in client_ids:
+            self.clients.pop(client_id, None)
+
     # -- frame handlers ------------------------------------------------
     def _handle_phase(self, payload: bytes) -> None:
-        fn, entries, span_ctx = pickle.loads(payload)
+        fn, entries, span_ctx, release = pickle.loads(payload)
+        self._release(release)
         resolved = [(index, self._replica(item)) for index, item in entries]
         tracer = None
         if span_ctx is not None:
@@ -228,13 +242,8 @@ class WorkerSession:
         _store_broadcast(token, decode_state(wire_bytes))
         _FRAMED_DECODES.inc()
 
-    def _handle_reset(self) -> None:
-        self.clients = {}
-        _BROADCASTS.clear()
-        # drop materialized task arrays; the factory rebuilds lazily
-        self._task_data = None
-
-    def _handle_collect(self) -> None:
+    def _handle_collect(self, payload: bytes) -> None:
+        self._release(pickle.loads(payload))
         clients = list(self.clients.values())
         # factory-rebuilt task data stays here: the parent holds its own
         shed = clients if self.data_factory is not None else ()
@@ -254,10 +263,8 @@ class WorkerSession:
                     self._handle_phase(payload)
                 elif kind == MessageType.STATE:
                     self._handle_state(payload)
-                elif kind == MessageType.RESET:
-                    self._handle_reset()
                 elif kind == MessageType.COLLECT:
-                    self._handle_collect()
+                    self._handle_collect(payload)
                 else:
                     raise ProtocolError(
                         f"worker cannot handle {kind.name} frames"
@@ -287,6 +294,9 @@ def run_worker(
     on one machine.  Returns the worker id the server assigned.
     """
     runtime.configure()
+    # a forked worker starts with its parent's counters: zero them, or the
+    # first traced phase ships the parent's totals back to it
+    _obs_metrics.METRICS.drain()
     conn = connect_with_retry(host, port, attempts=attempts,
                               backoff=backoff, timeout=None)
     try:

@@ -115,7 +115,9 @@ def run_with_engine(spec, config, method, engine):
 
 
 class TestParallelReproducibility:
-    @pytest.mark.parametrize("method", ["fedavg", "fedknow", "fedweit"])
+    @pytest.mark.parametrize(
+        "method", ["fedavg", "fedknow", "fedweit", "flcn"]
+    )
     def test_thread_engine_matches_serial_exactly(self, spec, config, method):
         serial = run_with_engine(spec, config, method, "serial")
         threaded = run_with_engine(spec, config, method, "thread")

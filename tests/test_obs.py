@@ -303,6 +303,28 @@ class TestSocketEngineStitching:
         assert "lost mid-round" in warning["message"]
 
 
+class TestTaskBoundaryStitching:
+    def test_boundary_phases_parent_to_an_engine_map_span(self, spec,
+                                                          config):
+        """Begin and end phases run on the workers outside every round
+        span; their worker spans parent to the ``engine_map`` span the
+        socket engine opens for each such phase."""
+        spans, _, _ = run_traced(spec, config, "socket:2", method="fedknow")
+        assert_worker_spans_stitch(spans)
+        maps = {
+            s["span_id"] for s in spans
+            if s["name"] == "engine_map" and s["process"] == "main"
+        }
+        # two tasks: a begin and an end phase each
+        assert len(maps) == 4
+        replays = [
+            s for s in spans
+            if s["name"] == "tape_replay" and s["parent_id"] in maps
+        ]
+        assert replays, "no worker tape replays under a boundary phase"
+        assert all(s["process"] != "main" for s in replays)
+
+
 class _DyingClient(SGDClient):
     """Hard-exits the worker process once, the first time it trains while
     the one-shot poison token file exists."""

@@ -356,7 +356,7 @@ def reference_run(trainer, num_positions=None) -> RunResult:
     for position in range(num_positions):
         for client in trainer.active_clients():
             client.begin_task(position)
-            if not trainer._check_memory(client):
+            if not trainer._check_memory(client, client.extra_state_bytes()):
                 trainer._oom.add(client.client_id)
         active = trainer.active_clients()
         for round_index in range(trainer.config.rounds_per_task):

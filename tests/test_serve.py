@@ -8,11 +8,14 @@ state broadcasts.  The fault suite kills workers mid-round and between
 rounds and checks the service's survival contract: the round completes
 with the surviving clients, the lost count lands on the
 :class:`RoundRecord`, and reconnecting workers are admitted at the next
-round boundary.
+round boundary.  The lifecycle suite does the same at task boundaries,
+which run on the workers: a worker lost there costs no client, and a
+worker that joins between tasks takes its share of the clients.
 """
 
 from __future__ import annotations
 
+import errno
 import multiprocessing
 import os
 import socket as socket_mod
@@ -21,7 +24,13 @@ import time
 import numpy as np
 import pytest
 
-from repro.data import build_benchmark, cifar100_like
+from repro.core.client import FedKnowClient
+from repro.data import (
+    ClientDataFactory,
+    build_benchmark,
+    cifar100_like,
+    create_scenario,
+)
 from repro.edge import jetson_cluster
 from repro.federated import (
     FedAvgServer,
@@ -31,7 +40,7 @@ from repro.federated import (
 )
 from repro.federated.base import SGDClient
 from repro.federated.sharding import ShardedAggregator
-from repro.obs import METRICS
+from repro.obs import METRICS, Telemetry
 from repro.serve import (
     MAGIC,
     PROTOCOL_VERSION,
@@ -42,6 +51,7 @@ from repro.serve import (
     ProtocolError,
     RemoteError,
     RpcError,
+    ServeStateHandle,
     SocketRoundEngine,
     connect_with_retry,
     run_worker,
@@ -62,10 +72,10 @@ class TestRpc:
     def test_frame_roundtrip(self):
         a, b = _pair()
         try:
-            a.send(MessageType.RESET)
+            a.send(MessageType.BYE)
             a.send_obj(MessageType.RESULT, {"x": np.arange(4.0), "n": 3})
             kind, payload = b.recv()
-            assert kind == MessageType.RESET and payload == b""
+            assert kind == MessageType.BYE and payload == b""
             kind, obj = b.recv_obj()
             assert kind == MessageType.RESULT
             assert obj["n"] == 3
@@ -87,7 +97,7 @@ class TestRpc:
     def test_expect_rejects_unexpected_kind(self):
         a, b = _pair()
         try:
-            a.send(MessageType.RESET)
+            a.send(MessageType.BYE)
             with pytest.raises(ProtocolError, match="expected RESULT"):
                 b.expect(MessageType.RESULT)
         finally:
@@ -253,6 +263,35 @@ class TestSocketEngineApi:
             assert METRICS.value("serve.workers_lost") == before + 1
         finally:
             engine.close()
+
+
+class _FullTmpfs:
+    """An ``os.fdopen`` file whose writes fail as on a full tmpfs."""
+
+    def __init__(self, fd: int, real_fdopen):
+        self._file = real_fdopen(fd, "wb")
+
+    def __enter__(self) -> "_FullTmpfs":
+        return self
+
+    def __exit__(self, *exc) -> None:
+        self._file.close()
+
+    def write(self, data) -> int:
+        raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+
+
+class TestBroadcastHandle:
+    def test_failed_write_removes_its_file(self, monkeypatch):
+        """A broadcast whose payload cannot be written raises, and leaves
+        no tmpfs file behind (the leak guard fails the test otherwise)."""
+        real_fdopen = os.fdopen
+        monkeypatch.setattr(
+            os, "fdopen", lambda fd, *_, **__: _FullTmpfs(fd, real_fdopen)
+        )
+        with pytest.raises(OSError) as raised:
+            ServeStateHandle({"w": np.zeros(4)}, b"payload")
+        assert raised.value.errno == errno.ENOSPC
 
 
 # ----------------------------------------------------------------------
@@ -454,6 +493,158 @@ class TestWorkerDeathMidRound:
         assert np.isfinite(result.accuracy_matrix[-1]).any()
 
 
+class _DyingFedKnowClient(FedKnowClient):
+    """A FedKNOW client that hard-exits its worker process once, while the
+    one-shot poison token file exists; never the test process."""
+
+    token_path: str | None = None
+    #: This test process: a client running here (in-process) never dies.
+    test_pid = os.getpid()
+
+    def _die_once(self) -> None:
+        path = type(self).token_path
+        if (path is not None and os.getpid() != self.test_pid
+                and os.path.exists(path)):
+            try:
+                os.unlink(path)
+            finally:
+                os._exit(1)
+
+
+class _DiesInEndTask(_DyingFedKnowClient):
+    def end_task(self):
+        self._die_once()
+        super().end_task()
+
+
+class _DiesInSecondTask(_DyingFedKnowClient):
+    """Dies in its first local step of task 1; records ``(position, pid)``
+    of every local step it takes."""
+
+    def local_train(self, iterations):
+        if self.position == 1:
+            self._die_once()
+        self.trained_in = getattr(self, "trained_in", []) + [
+            (self.position, os.getpid())
+        ]
+        return super().local_train(iterations)
+
+
+def run_poisoned(spec, config, tmp_path, client_class):
+    """A fedknow socket:2 run with client 0 of class ``client_class`` armed
+    with a poison token; returns (result, the trainer's clients, whether
+    the token was consumed)."""
+    token = tmp_path / "poison.token"
+    token.write_text("armed")
+    client_class.token_path = str(token)
+    try:
+        bench = build_benchmark(
+            spec, num_clients=3, rng=np.random.default_rng(0)
+        )
+        trainer = create_trainer(
+            "fedknow", bench, config, cluster=jetson_cluster(),
+            engine="socket:2",
+        )
+        trainer.clients[0].__class__ = client_class
+        try:
+            result = trainer.run()
+        finally:
+            trainer.close()
+    finally:
+        client_class.token_path = None
+    assert not multiprocessing.active_children()
+    return result, trainer.clients, not token.exists()
+
+
+class TestWorkerDeathAtTaskBoundary:
+    def test_end_phase_runs_again_for_a_dead_workers_clients(
+        self, spec, config, tmp_path
+    ):
+        """A worker that dies in ``end_task`` loses no client: the end
+        phase runs again for its clients on another worker."""
+        result, clients, consumed = run_poisoned(
+            spec, config, tmp_path, _DiesInEndTask
+        )
+        assert consumed, "end_task never ran in a worker"
+        lost = [w for w in METRICS.warnings
+                if w["counter"] == "serve.workers_lost"]
+        assert "lost in task-boundary phase _EndPhase" in lost[-1]["message"]
+        tasks = spec.num_tasks
+        matrix = result.accuracy_matrix
+        assert matrix.shape == (tasks, tasks)
+        assert np.isfinite(matrix[np.tril_indices(tasks)]).all()
+        assert [len(client.store) for client in clients] == [tasks] * 3
+
+    def test_client_resumes_from_its_checkpoint_in_the_next_task(
+        self, spec, config, tmp_path
+    ):
+        """A worker that dies in task 1's first round: its client comes
+        back from the checkpoint taken at task 0's end, begins task 1 on
+        another worker and keeps the knowledge it extracted at task 0."""
+        result, clients, consumed = run_poisoned(
+            spec, config, tmp_path, _DiesInSecondTask
+        )
+        assert consumed
+        assert [(r.position, r.round_index) for r in result.rounds
+                if r.lost] == [(1, 0)]
+        client = clients[0]
+        assert client.position == 1
+        assert len(client.store) == spec.num_tasks
+        first = {pid for position, pid in client.trained_in if position == 0}
+        second = {pid for position, pid in client.trained_in if position == 1}
+        assert second and not first & second
+        assert np.isfinite(result.accuracy_matrix[-1]).all()
+
+
+class TestEventDrivenSocket:
+    def test_churn_matches_serial(self, spec, config):
+        """Arrivals begin in begin phases on the workers; the round stream
+        and the accuracy matrix equal the serial engine's."""
+        def run(engine):
+            scenario = create_scenario("class-inc")
+            bench = scenario.build(
+                spec, num_clients=4, rng=np.random.default_rng(0)
+            )
+            with create_trainer(
+                "fedknow", bench, config, cluster=jetson_cluster(),
+                engine=engine, population="uniform:4,churn=3/5",
+                data_factory=ClientDataFactory(scenario, spec, 4, 0),
+            ) as trainer:
+                return trainer.run()
+
+        reference = run("serial")
+        socketed = run("socket:2")
+        assert any(r.active_clients < 4 for r in reference.rounds)
+        assert np.array_equal(
+            reference.accuracy_matrix, socketed.accuracy_matrix,
+            equal_nan=True,
+        )
+        assert reference.rounds == socketed.rounds
+
+
+class TestTapeCaptures:
+    def test_socket_captures_as_many_tapes_as_serial(self, config):
+        """Clients keep their tapes on their workers across tasks: a socket
+        run captures no tape that a serial run does not."""
+        spec = cifar100_like(train_per_class=8, test_per_class=4).with_tasks(3)
+
+        def captures(engine):
+            bench = build_benchmark(
+                spec, num_clients=3, rng=np.random.default_rng(0)
+            )
+            with Telemetry() as session:
+                with create_trainer(
+                    "fedknow", bench, config, cluster=jetson_cluster(),
+                    engine=engine,
+                ) as trainer:
+                    trainer.run()
+                return session.metrics_snapshot()["counters"]["tape.captures"]
+
+        serial = captures("serial")
+        assert serial > 0
+        assert captures("socket:2") == serial
+
+
 class TestFederationServerResilience:
     def test_serves_rounds_across_worker_kill_and_reconnect(self):
         """The service survives >= 3 rounds with a worker SIGKILLed after
@@ -563,6 +754,64 @@ class TestFederationServer:
             expected = trainer.run()
         finally:
             trainer.close()
+        assert np.array_equal(
+            expected.accuracy_matrix, result.accuracy_matrix, equal_nan=True
+        )
+        assert expected.rounds == result.rounds
+
+
+class TestFederationServerRebalance:
+    def test_worker_joining_between_tasks_takes_clients(self):
+        """A worker that connects between tasks is given clients at the
+        next task boundary, and the run still equals a serial run."""
+        server = FederationServer(
+            "fedknow", "cifar100", "unit", num_workers=1,
+            clients=3, tasks=2, seed=0,
+        )
+        host, port = server.address
+        spawn = lambda: multiprocessing.Process(
+            target=run_worker, args=(host, port), daemon=True
+        )
+        workers = [spawn()]
+        workers[0].start()
+        begin_task = server.engine.begin_task
+
+        def join_before_task_one(position):
+            if position == 1:
+                workers.append(spawn())
+                workers[-1].start()
+                server.engine.wait_for_workers(2, timeout=30.0)
+            begin_task(position)
+
+        server.engine.begin_task = join_before_task_one
+        try:
+            server.wait_for_workers(timeout=30.0)
+            result = server.run()
+            owners = {
+                link.worker_id for link in server.engine._affinity.values()
+            }
+            # the old worker dropped the replica it gave away
+            held = [c.client_id for c in server.engine.collect_clients()]
+        finally:
+            server.close()
+            for process in workers:
+                process.join(timeout=10.0)
+        assert len(workers) == 2
+        assert owners == {0, 1}
+        assert sorted(held) == [0, 1, 2]
+        from repro.data import get_spec
+        from repro.experiments.config import get_preset
+
+        preset = get_preset("unit").updated(num_clients=3, num_tasks=2)
+        scaled = preset.apply_to_spec(get_spec("cifar100"))
+        benchmark = create_scenario("class-inc").build(
+            scaled, num_clients=3, rng=np.random.default_rng(0)
+        )
+        with create_trainer(
+            "fedknow", benchmark, preset.train_config(seed=0),
+            model_seed=1000, rng=np.random.default_rng(1),
+        ) as trainer:
+            expected = trainer.run()
         assert np.array_equal(
             expected.accuracy_matrix, result.accuracy_matrix, equal_nan=True
         )
