@@ -73,12 +73,12 @@ def _add_run_arguments(run_p: argparse.ArgumentParser,
     run_p.add_argument("--tasks", type=int, default=None)
     run_p.add_argument("--seed", type=int, default=0)
     run_p.add_argument("--engine", default="serial",
-                       help="round engine: 'serial', 'thread[:W]' — W "
-                            "threads of concurrent client execution — "
-                            "'batched[:B]' — at most B clients stacked "
-                            "per captured-graph replay (default 8) — or "
-                            "'socket[:W]' — W socket-connected worker "
-                            "processes with sticky client affinity "
+                       help="round engine: 'serial' — the reference "
+                            "order, and the only engine for flcn and "
+                            "fedweit — 'batched[:B]' — at most B clients "
+                            "stacked per captured-graph replay (default "
+                            "8) — or 'socket[:W]' — W socket-connected "
+                            "worker processes with sticky client affinity "
                             "(identical metrics, faster wall clock)")
     run_p.add_argument("--shards", type=int, default=1,
                        help="partition each round's aggregation across this "

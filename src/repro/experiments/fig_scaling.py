@@ -5,8 +5,8 @@ measures the *systems* side of client scaling — wall-clock rounds/sec and
 peak RSS as the population grows — across the execution/aggregation grid
 the sharded population subsystem opens up:
 
-* round engines: ``serial`` (reference), ``thread``, ``batched`` (clients
-  stacked along a leading axis on a captured graph tape — one batched
+* round engines: ``serial`` (reference), ``batched`` (clients stacked
+  along a leading axis on a captured graph tape — one batched
   forward/backward per step), ``socket`` (the serve subsystem's GIL-free
   framed-TCP worker processes with sticky client affinity, worker-rebuilt
   task data and shared-memory global-state broadcast — clients cross the
@@ -255,7 +255,7 @@ def run_fig_eventsim(
 def run_fig_scaling(
     preset: ScalePreset = BENCH,
     populations: tuple[int, ...] | None = None,
-    engines: tuple[str, ...] = ("serial", "thread", "batched", "socket"),
+    engines: tuple[str, ...] = ("serial", "batched", "socket"),
     shard_counts: tuple[int, ...] = (1, 4, 16),
     method: str = "fedavg",
     rounds: int | None = None,
@@ -307,6 +307,8 @@ def run_fig_scaling(
                 shards=shards,
                 data_factory=data_factory,
             ) as trainer:
+                # the figure prints rounds/s with tracing off, so the time
+                # cannot come from a span
                 started = time.perf_counter()
                 records = trainer.run_task(0)
                 wall = time.perf_counter() - started

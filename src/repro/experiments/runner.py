@@ -118,9 +118,8 @@ def run_single(
 ) -> RunResult:
     """Train ``method`` on ``spec`` at ``preset`` scale and return its metrics.
 
-    ``engine`` selects the round engine ("serial", "thread[:W]",
-    "batched[:B]" or "socket[:W]"); all produce identical training metrics,
-    so it does not
+    ``engine`` selects the round engine ("serial", "batched[:B]" or
+    "socket[:W]"); all produce identical training metrics, so it does not
     participate in the result cache key.  ``shards`` > 1 partitions each
     round's aggregation across that many streaming shard accumulators;
     the final states stay bit-identical but per-shard accounting lands on

@@ -6,7 +6,6 @@ active clients.  Engines decide how that map executes:
 
 * :class:`SerialRoundEngine` — one client after another (the reference
   semantics);
-* :class:`ThreadedRoundEngine` — clients run concurrently on a thread pool;
 * :class:`BatchedRoundEngine` — same-architecture clients are **stacked**:
   the training step is captured once as a static graph tape and replayed
   with up to B clients' weights and minibatches along a leading axis, one
@@ -27,14 +26,14 @@ reassembled in client order.  Only wall-clock time differs.
 The trainer talks to an engine only through the hooks :class:`RoundEngine`
 declares, each with an in-process default: ``rejects``/``bind`` (which
 clients it can run, and the factory that rebuilds their task data),
-``begin_task``, ``map``, ``share_state``, ``sharded_aggregator``,
-``collect_clients`` and ``close``.  Every call that touches client state
-reaches the clients through ``map``: the round phases, and the task
-boundary's begin and end phases.  Phases mutate the clients they are
-mapped over and return only their results; an engine that runs clients
-elsewhere keeps the mutated replicas there, across tasks, and hands copies
-back through ``collect_clients`` after each task's end phase, as the
-trainer's checkpoint for worker-death recovery.
+``begin_task``, ``map``, ``share_state``, ``collect_clients`` and
+``close``.  Every call that touches client state reaches the clients
+through ``map``: the round phases, and the task boundary's begin and end
+phases.  Phases mutate the clients they are mapped over and return only
+their results; an engine that runs clients elsewhere keeps the mutated
+replicas there, across tasks, and hands copies back through
+``collect_clients`` after each task's end phase, as the trainer's
+checkpoint for worker-death recovery.
 """
 
 from __future__ import annotations
@@ -45,14 +44,8 @@ from typing import (
 
 import numpy as np
 
-from ..obs import trace as _obs_trace
-from .sharding import ShardedAggregator
-
 if TYPE_CHECKING:
-    from concurrent.futures import ThreadPoolExecutor
-
     from .base import FederatedClient
-    from .server import FedAvgServer
 
 T = TypeVar("T")
 R = TypeVar("R")
@@ -72,7 +65,7 @@ class StateHandle:
 
 
 class LocalStateHandle(StateHandle):
-    """In-process passthrough (the serial, thread and batched engines)."""
+    """In-process passthrough (the serial and batched engines)."""
 
     def __init__(self, state: Mapping[str, np.ndarray]):
         self._state = state
@@ -124,11 +117,6 @@ class RoundEngine:
         In-process engines never lose an item.  An engine whose workers can
         die returns ``None`` in a lost item's slot instead of raising; the
         trainer drops that client from the round and records it as lost.
-
-        A phase with a true ``task_boundary`` attribute (the trainer's begin
-        and end phases) runs in item order on in-process engines: some
-        methods' ``begin_task``/``end_task`` feed the live server in client
-        order (FLCN's sample buffer, FedWEIT's adaptive registry).
         """
         raise NotImplementedError
 
@@ -140,22 +128,6 @@ class RoundEngine:
         """Wrap a global state for broadcast to this engine's executors."""
         return LocalStateHandle(state)
 
-    def sharded_aggregator(
-        self, server: FedAvgServer, shards: int
-    ) -> ShardedAggregator:
-        """The aggregator for a round split across ``shards`` accumulators
-        (default: accumulate the shards one after another).
-
-        This hook is how an engine offers its in-process pool to the shard
-        fold; it is not a capability query.  Only
-        :class:`ThreadedRoundEngine` overrides it: shard groups fold on its
-        threads, bit-identical and faster in wall time on large states
-        (222 -> 167 ms for 32 clients x 4.8 MB over 8 shards on a 2-CPU
-        host).  An out-of-process engine keeps this default, because its
-        ``map`` would pickle a closure over the round's live updates.
-        """
-        return ShardedAggregator(server, shards)
-
     def collect_clients(self) -> list[FederatedClient]:
         """Copies of the client replicas this engine holds, newer than the
         trainer's own (none in-process: phases mutate the trainer's)."""
@@ -163,13 +135,6 @@ class RoundEngine:
 
     def close(self) -> None:
         """Release any execution resources (idempotent)."""
-
-    def __enter__(self) -> "RoundEngine":
-        return self
-
-    def __exit__(self, exc_type, exc_value, traceback) -> bool:
-        self.close()
-        return False
 
 
 class SerialRoundEngine(RoundEngine):
@@ -179,55 +144,6 @@ class SerialRoundEngine(RoundEngine):
 
     def map(self, fn: Callable[[T], R], items: Iterable[T]) -> list[R]:
         return [fn(item) for item in items]
-
-
-class ThreadedRoundEngine(RoundEngine):
-    """Clients of a round run concurrently on a shared thread pool."""
-
-    name = "thread"
-
-    def __init__(self, max_workers: int | None = None):
-        self.max_workers = max_workers
-        self._executor: ThreadPoolExecutor | None = None
-
-    def _pool(self) -> ThreadPoolExecutor:
-        if self._executor is None:
-            # imported here: it loads ``logging``, which no other engine needs
-            from concurrent.futures import ThreadPoolExecutor
-
-            self._executor = ThreadPoolExecutor(
-                max_workers=self.max_workers, thread_name_prefix="round-engine"
-            )
-        return self._executor
-
-    def map(self, fn: Callable[[T], R], items: Iterable[T]) -> list[R]:
-        items = list(items)
-        if len(items) <= 1 or getattr(fn, "task_boundary", False):
-            return [fn(item) for item in items]
-        tracer = _obs_trace.TRACER
-        if not tracer.enabled:
-            return list(self._pool().map(fn, items))
-        # pool threads have empty span stacks: parent their spans under
-        # the caller's innermost open span so traces stay nested
-        ctx = tracer.current_context()
-
-        def run(item: T) -> R:
-            with tracer.bind(ctx):
-                return fn(item)
-
-        return list(self._pool().map(run, items))
-
-    def sharded_aggregator(
-        self, server: FedAvgServer, shards: int
-    ) -> ShardedAggregator:
-        # shard accumulation rides this engine's thread pool (identical
-        # math — regression-tested)
-        return ShardedAggregator(server, shards, engine=self)
-
-    def close(self) -> None:
-        if self._executor is not None:
-            self._executor.shutdown(wait=True)
-            self._executor = None
 
 
 class BatchedRoundEngine(RoundEngine):
@@ -285,7 +201,6 @@ class BatchedRoundEngine(RoundEngine):
 
 ENGINES: dict[str, type[RoundEngine]] = {
     "serial": SerialRoundEngine,
-    "thread": ThreadedRoundEngine,
     "batched": BatchedRoundEngine,
 }
 
@@ -293,24 +208,20 @@ ENGINES: dict[str, type[RoundEngine]] = {
 #: shape — the "socket" engine lives in :mod:`repro.serve.engine` and is
 #: resolved lazily to keep the federated core import-light.
 ENGINE_SPECS: tuple[str, ...] = (
-    "serial", "thread[:W]", "batched[:B]", "socket[:W]",
+    "serial", "batched[:B]", "socket[:W]",
 )
 
 
-def create_engine(
-    engine: str | RoundEngine, max_workers: int | None = None
-) -> RoundEngine:
+def create_engine(engine: str | RoundEngine) -> RoundEngine:
     """Resolve an engine instance from a spec string, or pass one through.
 
-    Specs read ``"<name>[:<arg>]"`` — ``"serial"``, ``"thread"``,
-    ``"thread:4"``, ``"batched"``, ``"batched:64"``, ``"socket"``,
-    ``"socket:4"``.  The argument is a
-    worker count for thread/socket engines and the most clients per chunk
-    for the batched engine (default:
-    :data:`~repro.federated.batched.DEFAULT_CHUNK_CLIENTS`, 8).
-    ``max_workers`` is the fallback worker count when the spec
-    does not carry one; ``serial`` takes no argument.  Unknown or malformed
-    specs raise :class:`ValueError` with the full catalogue.
+    Specs read ``"<name>[:<arg>]"`` — ``"serial"``, ``"batched"``,
+    ``"batched:64"``, ``"socket"``, ``"socket:4"``.  The argument is the
+    most clients per chunk for the batched engine (default:
+    :data:`~repro.federated.batched.DEFAULT_CHUNK_CLIENTS`, 8) and the
+    worker count for the socket engine (default: the host's CPU count);
+    ``serial`` takes no argument.  Unknown or malformed specs raise
+    :class:`ValueError` with the full catalogue.
     """
     if isinstance(engine, RoundEngine):
         return engine
@@ -320,7 +231,7 @@ def create_engine(
         raise ValueError(
             f"unknown round engine {engine!r}; known: {known}"
         )
-    workers = max_workers if name != "batched" else None
+    workers = None
     if arg:
         if name == "serial":
             raise ValueError("the serial engine takes no worker count")
@@ -335,8 +246,6 @@ def create_engine(
             raise ValueError(f"need at least one worker, got {workers}")
     if name == "serial":
         return SerialRoundEngine()
-    if name == "thread":
-        return ThreadedRoundEngine(max_workers=workers)
     if name == "batched":
         return BatchedRoundEngine(batch_clients=workers)
     # imported lazily: repro.serve depends on this module

@@ -153,9 +153,9 @@ def create_trainer(
 ) -> FederatedTrainer:
     """Build a :class:`FederatedTrainer` running ``method`` on ``benchmark``.
 
-    ``engine`` accepts instance or spec (``"serial"``, ``"thread[:W]"``,
-    ``"batched[:B]"``, ``"socket[:W]"``); ``shards`` > 1 partitions each
-    round's aggregation across that many streaming shard accumulators;
+    ``engine`` accepts instance or spec (``"serial"``, ``"batched[:B]"``,
+    ``"socket[:W]"``); ``shards`` > 1 partitions each round's aggregation
+    across that many streaming shard accumulators;
     ``data_factory`` is the picklable
     :class:`~repro.data.scenario.ClientDataFactory` the socket engine uses
     to rebuild task data inside its workers.  ``population``

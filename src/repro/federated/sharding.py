@@ -16,7 +16,7 @@ updates are split (in report order) into at most
 segments, every segment accumulates its clients sequentially into a
 :class:`~repro.federated.server.StreamingAccumulator`, and the segment
 partials are folded strictly left-to-right.  The shard count only decides
-*which worker computes which segments* — the float operations and their
+*which shard accumulates which segments* — the float operations and their
 order never change — so any ``K`` produces a global state bit-identical to
 the unsharded reference, pinned by ``tests/test_sharding.py``.  With up to
 ``MERGE_SEGMENTS`` clients the tree degenerates to the plain sequential
@@ -51,18 +51,15 @@ class ShardedAggregator:
     updates are split into the canonical merge segments, contiguous segment
     groups are assigned to ``num_shards`` shard accumulators, and the
     segment partials are folded in fixed order before the result is handed
-    to the server through ``install_aggregate``.  ``engine`` optionally
-    maps the per-shard accumulation onto an in-process
-    :class:`~repro.federated.engine.RoundEngine` (the thread engine passes
-    itself): shard accumulation closes over live update objects.
+    to the server through ``install_aggregate``.  The shards accumulate one
+    after another, in the process that holds the round's updates.
     """
 
-    def __init__(self, server: FedAvgServer, num_shards: int, engine=None):
+    def __init__(self, server: FedAvgServer, num_shards: int):
         if num_shards < 1:
             raise ValueError(f"need at least one shard, got {num_shards}")
         self.server = server
         self.num_shards = num_shards
-        self.engine = engine
         #: Updates each shard accumulated in the most recent round.
         self.last_shard_counts: tuple[int, ...] = ()
 
@@ -95,27 +92,19 @@ class ShardedAggregator:
         segments = shard_slices(len(updates), min(len(updates), MERGE_SEGMENTS))
         groups = shard_slices(len(segments), min(self.num_shards, len(segments)))
         base = self.server.global_state
-
-        def accumulate_group(group: slice) -> list[StreamingAccumulator]:
-            """One shard's work: its segments' partials, in segment order."""
-            partials = []
-            for segment in segments[group]:
-                accumulator = StreamingAccumulator(base=base)
-                for index in range(segment.start, segment.stop):
-                    accumulator.add(updates[index].state, weights[index] / total)
-                partials.append(accumulator)
-            return partials
-
-        if self.engine is not None:
-            per_group = self.engine.map(accumulate_group, groups)
-        else:
-            per_group = [accumulate_group(group) for group in groups]
+        # each shard's segments accumulate in segment order; the groups are
+        # contiguous, so the partials come out in global segment order
+        partials = []
+        for segment in segments:
+            accumulator = StreamingAccumulator(base=base)
+            for index in range(segment.start, segment.stop):
+                accumulator.add(updates[index].state, weights[index] / total)
+            partials.append(accumulator)
         self.last_shard_counts = tuple(
             sum(seg.stop - seg.start for seg in segments[group])
             for group in groups
         )
-        merged = self.merge([p for group in per_group for p in group])
-        return self.server.install_aggregate(merged)
+        return self.server.install_aggregate(self.merge(partials))
 
     def merge(
         self, partials: Sequence[StreamingAccumulator]

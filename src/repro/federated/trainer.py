@@ -22,10 +22,11 @@ policies:
   who downloads the new global state;
 * a :class:`~repro.federated.engine.RoundEngine` schedules the per-client
   work of a phase: the serial engine preserves the reference execution
-  order, while the thread and socket engines run the clients of a round
-  concurrently with bit-identical results.  Phases are picklable callables
-  that mutate their client and return only their result: every call that
-  touches client state, ``begin_task`` and ``end_task`` with the stage's
+  order, the batched engine stacks a round's clients on one graph replay,
+  and the socket engine runs them concurrently in worker processes, both
+  with bit-identical results.  Phases are picklable callables that mutate
+  their client and return only their result: every call that touches
+  client state, ``begin_task`` and ``end_task`` with the stage's
   evaluation included.  The trainer reaches the engine only through the
   hooks ``RoundEngine`` declares, and keeps the replicas an engine hands
   back after each task's end phase as its checkpoint;
@@ -47,7 +48,7 @@ global model untouched and is recorded as **skipped** — empty rounds never
 reach the aggregator (which rejects them with a :class:`ValueError`).
 
 The trainer is a context manager; it owns its engine and closes it on exit,
-so thread and socket engines cannot leak their pools.
+so a socket engine cannot leak its worker processes.
 """
 
 from __future__ import annotations
@@ -71,6 +72,7 @@ from .engine import RoundEngine, StateHandle, create_engine
 from .participation import ParticipationPolicy, create_policy
 from .protocol import ClientUpdate, RoundOutcome, RoundPlan
 from .server import FedAvgServer
+from .sharding import ShardedAggregator
 from .transport import Channel, Transport, create_transport
 
 # Cached instrument handles (always-on; ``drain`` zeroes them in place).
@@ -182,12 +184,11 @@ class _TrainPhase:
 
     def __call__(self, client: FederatedClient) -> ClientUpdate:
         _resume(client, self.position)
-        tracer = _obs_trace.TRACER
-        if not tracer.enabled:
-            return self._train(client)
         # worker-side on the socket engine: the span parents under the
         # adopted round context and ships back with the phase result
-        with tracer.span("train_client", client=client.client_id) as span:
+        with _obs_trace.TRACER.span(
+            "train_client", client=client.client_id
+        ) as span:
             update = self._train(client)
             span.attrs["upload_bytes"] = update.upload_bytes
         return update
@@ -293,8 +294,7 @@ class FederatedTrainer:
         self.shards = shards
         self.engine.bind(clients, data_factory)
         self.aggregator = (
-            self.engine.sharded_aggregator(server, shards) if shards > 1
-            else None
+            ShardedAggregator(server, shards) if shards > 1 else None
         )
         self.policy = create_policy(
             participation if participation is not None else config.participation,
@@ -453,21 +453,18 @@ class FederatedTrainer:
 
     def _run_round(self, position: int, round_index: int) -> RoundRecord:
         """Execute one aggregation round under the participation policy."""
-        tracer = _obs_trace.TRACER
-        if not tracer.enabled:
+        with _obs_trace.TRACER.span(
+            "round", position=position, round=round_index
+        ) as span:
             record = self._execute_round(position, round_index)
-        else:
-            with tracer.span("round", position=position,
-                             round=round_index) as span:
-                record = self._execute_round(position, round_index)
-                span.attrs.update(
-                    reported=record.reported_clients,
-                    stale=record.stale_clients,
-                    evicted=record.evicted,
-                    lost=record.lost,
-                    upload_bytes=record.upload_bytes,
-                    download_bytes=record.download_bytes,
-                )
+            span.attrs.update(
+                reported=record.reported_clients,
+                stale=record.stale_clients,
+                evicted=record.evicted,
+                lost=record.lost,
+                upload_bytes=record.upload_bytes,
+                download_bytes=record.download_bytes,
+            )
         self._publish_round_metrics(record)
         return record
 

@@ -32,8 +32,8 @@ DEFAULT_DTYPE = np.float32
 
 
 class _GradMode(threading.local):
-    """Per-thread grad mode, so concurrent round-engine clients can
-    enter/leave ``no_grad`` without clobbering each other's tape."""
+    """Per-thread grad mode, so a caller's threads can enter/leave
+    ``no_grad`` without clobbering each other's tape."""
 
     enabled = True
 

@@ -2,9 +2,9 @@
 
 Spans are opt-in (``trace.TRACER`` is a null tracer until a
 :class:`Telemetry` session installs a real one); the metrics registry
-(``metrics.METRICS``) is always on.  Guard span sites with
-``if TRACER.enabled:`` read off the *module* attribute so sessions can
-swap the tracer underneath cached imports.
+(``metrics.METRICS``) is always on.  Read ``TRACER`` off the *module*
+attribute at each span site so sessions can swap the tracer underneath
+cached imports.
 """
 
 from .. import _lazy_exports

@@ -9,9 +9,10 @@ collide; a worker process adopts the coordinator's :class:`SpanContext`
 span it opens, which stitches remote children into one trace.
 
 The module-level :data:`TRACER` defaults to a :class:`NullTracer` whose
-``enabled`` attribute is ``False`` — instrumentation sites guard with
-``if TRACER.enabled:`` (one attribute load + branch) so the disabled
-path stays no-op-cheap.  ``time.perf_counter`` supplies monotonic span
+``enabled`` attribute is ``False`` and whose ``span`` returns one shared
+no-op span, so a plain ``with TRACER.span(...)`` stays cheap on the
+disabled path; only sites with costly extra work guard with
+``if TRACER.enabled:``.  ``time.perf_counter`` supplies monotonic span
 durations; each tracer records a wall-clock offset at construction so
 exported timestamps from different processes share one epoch-aligned
 axis (good enough to *order* spans across machines; durations are exact).
@@ -108,8 +109,7 @@ _NULL_SPAN = _NullSpan()
 
 class NullTracer:
     """Disabled tracer: ``enabled`` is False and ``span`` returns a
-    shared no-op context manager.  Instrumentation sites should branch
-    on ``enabled`` and never reach ``span``, but reaching it is safe."""
+    shared no-op context manager, whose ``attrs`` writes vanish."""
 
     enabled = False
     trace_id = ""
@@ -168,10 +168,7 @@ class Tracer:
 
     def span(self, name: str, **attrs: Any) -> Span:
         stack = self._stack()
-        if stack:
-            parent = stack[-1].span_id
-        else:
-            parent = getattr(self._tls, "base", None) or self._base_parent
+        parent = stack[-1].span_id if stack else self._base_parent
         return Span(self, name, self._next_id(), parent, attrs)
 
     def _push(self, span: Span) -> None:
@@ -189,7 +186,7 @@ class Tracer:
         with self._lock:
             self.spans.append(span.to_dict())
 
-    # -- cross-process / cross-thread stitching -------------------------
+    # -- cross-process stitching ---------------------------------------
 
     def current_context(self) -> SpanContext | None:
         """Context of the innermost open span on this thread (to inject
@@ -197,9 +194,8 @@ class Tracer:
         stack = self._stack()
         if stack:
             return stack[-1].context
-        base = getattr(self._tls, "base", None) or self._base_parent
-        if base is not None:
-            return SpanContext(self.trace_id, base)
+        if self._base_parent is not None:
+            return SpanContext(self.trace_id, self._base_parent)
         return None
 
     def adopt(self, context: SpanContext | None) -> None:
@@ -209,26 +205,6 @@ class Tracer:
             return
         self.trace_id = context[0]
         self._base_parent = context[1]
-
-    class _Bind:
-        __slots__ = ("tracer", "base", "prev")
-
-        def __init__(self, tracer: "Tracer", base: str | None):
-            self.tracer = tracer
-            self.base = base
-
-        def __enter__(self):
-            self.prev = getattr(self.tracer._tls, "base", None)
-            self.tracer._tls.base = self.base
-            return self
-
-        def __exit__(self, *exc):
-            self.tracer._tls.base = self.prev
-
-    def bind(self, context: SpanContext | None) -> "Tracer._Bind":
-        """Temporarily parent this *thread's* top-level spans under
-        ``context`` (for pool threads running on behalf of a caller)."""
-        return Tracer._Bind(self, context[1] if context else None)
 
     # -- export ---------------------------------------------------------
 

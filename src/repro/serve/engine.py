@@ -348,7 +348,7 @@ class SocketRoundEngine(RoundEngine):
         if method in PROCESS_UNSAFE_METHODS:
             return (
                 "its clients exchange state with the live server mid-round; "
-                "use the serial or thread engine"
+                "use the serial engine"
             )
         return None
 

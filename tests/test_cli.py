@@ -135,7 +135,7 @@ class TestRun:
             "--preset", "unit", "--engine", "socket:2",
         ])
         assert code == 2
-        assert "serial or thread" in capsys.readouterr().err
+        assert "use the serial engine" in capsys.readouterr().err
 
     def test_invalid_engine_rejected(self, capsys):
         code = main([
@@ -297,15 +297,17 @@ class TestServeCommands:
         assert "process[:W]" not in out
 
     def test_invalid_engine_rejected_with_clear_message(self, capsys):
-        code = main([
-            "run", "--method", "fedavg", "--dataset", "svhn",
-            "--preset", "unit", "--engine", "quantum",
-        ])
-        assert code == 2
-        err = capsys.readouterr().err
-        assert "invalid --engine" in err
-        assert "quantum" in err
-        assert "socket" in err  # the error lists the known engines
+        # 'thread:2' names no engine either: the same unknown-engine error
+        for engine in ("quantum", "thread:2"):
+            code = main([
+                "run", "--method", "fedavg", "--dataset", "svhn",
+                "--preset", "unit", "--engine", engine,
+            ])
+            assert code == 2
+            err = capsys.readouterr().err
+            assert "invalid --engine" in err
+            assert engine in err
+            assert "socket" in err  # the error lists the known engines
 
     def test_socket_engine_accepted_by_run(self, capsys):
         code = main([

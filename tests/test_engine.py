@@ -1,6 +1,9 @@
-"""Tests for the round engines: API, and parallel == serial reproducibility."""
+"""Tests for the round engines' catalogue and the hooks they declare, and
+for the methods that run on the serial engine only."""
 
 from __future__ import annotations
+
+import os
 
 import numpy as np
 import pytest
@@ -10,10 +13,7 @@ from repro.edge import jetson_cluster
 from repro.federated import (
     ENGINES,
     BatchedRoundEngine,
-    FedAvgServer,
     SerialRoundEngine,
-    ShardedAggregator,
-    ThreadedRoundEngine,
     TrainConfig,
     create_engine,
     create_trainer,
@@ -33,9 +33,8 @@ def config():
 
 class TestEngineApi:
     def test_registry(self):
-        assert set(ENGINES) == {"serial", "thread", "batched"}
+        assert set(ENGINES) == {"serial", "batched"}
         assert isinstance(create_engine("serial"), SerialRoundEngine)
-        assert isinstance(create_engine("thread"), ThreadedRoundEngine)
         assert isinstance(create_engine("batched"), BatchedRoundEngine)
         assert create_engine("batched:4").batch_clients == 4
 
@@ -44,41 +43,42 @@ class TestEngineApi:
             create_engine("quantum")
 
     def test_process_spec_is_gone(self):
-        # socket[:W] is the one out-of-process engine; no alias remains
-        with pytest.raises(ValueError, match="known: .*'socket'"):
-            create_engine("process:2")
+        # socket[:W] is the one out-of-process engine; neither a process
+        # nor a thread engine remains
+        for spec in ("process:2", "thread", "thread:2"):
+            with pytest.raises(ValueError, match="known: .*'socket'"):
+                create_engine(spec)
 
     def test_worker_count_specs(self):
-        thread = create_engine("thread:3")
-        assert thread.max_workers == 3
+        assert create_engine("batched:3").batch_clients == 3
+        assert create_engine("batched").batch_clients is None
+        # the socket engine spawns its workers at the first map, not here
+        for spec, workers in (("socket:3", 3),
+                              ("socket", os.cpu_count() or 1)):
+            engine = create_engine(spec)
+            try:
+                assert engine.max_workers == workers
+            finally:
+                engine.close()
 
     def test_bad_specs_rejected(self):
         with pytest.raises(ValueError):
             create_engine("serial:2")
         with pytest.raises(ValueError):
-            create_engine("thread:x")
+            create_engine("batched:x")
         with pytest.raises(ValueError):
             create_engine("socket:0")
 
     def test_instance_passthrough(self):
-        engine = ThreadedRoundEngine(max_workers=2)
+        engine = SerialRoundEngine()
         assert create_engine(engine) is engine
-        engine.close()
 
-    def test_thread_map_preserves_order(self):
-        engine = ThreadedRoundEngine(max_workers=4)
-        try:
-            assert engine.map(lambda x: x * x, range(16)) == [
-                x * x for x in range(16)
-            ]
-        finally:
-            engine.close()
-
-    def test_close_idempotent(self):
-        engine = ThreadedRoundEngine()
-        engine.map(lambda x: x, [1, 2])
-        engine.close()
-        engine.close()
+    @pytest.mark.parametrize("spec", ["serial", "batched"])
+    def test_map_preserves_order(self, spec):
+        engine = create_engine(spec)
+        assert engine.map(lambda x: x * x, range(16)) == [
+            x * x for x in range(16)
+        ]
 
 
 class TestEngineContract:
@@ -88,14 +88,6 @@ class TestEngineContract:
         engine = SerialRoundEngine()
         assert engine.rejects("flcn") is None
         assert engine.collect_clients() == []
-        aggregator = engine.sharded_aggregator(FedAvgServer(), 2)
-        assert type(aggregator) is ShardedAggregator
-        assert aggregator.engine is None
-
-    def test_thread_engine_accumulates_shards_on_its_pool(self):
-        engine = ThreadedRoundEngine(max_workers=2)
-        assert engine.sharded_aggregator(FedAvgServer(), 3).engine is engine
-        engine.close()
 
     def test_batched_engine_rejects_batch_unsafe_methods(self):
         engine = BatchedRoundEngine()
@@ -103,34 +95,64 @@ class TestEngineContract:
         assert "batch-safe methods: fedavg" in engine.rejects("fedknow")
 
 
-def run_with_engine(spec, config, method, engine):
-    """A fresh benchmark + trainer per run so both engines start identically."""
+    def test_batched_map_prepares_the_whole_phase_once(self):
+        calls = []
+
+        class Phase:
+            def prepare_batched(self, engine, items):
+                calls.append(("prepare", list(items)))
+
+            def __call__(self, item):
+                calls.append(("item", item))
+                return -item
+
+        engine = BatchedRoundEngine()
+        assert engine.map(Phase(), iter([3, 1, 2])) == [-3, -1, -2]
+        assert calls == [
+            ("prepare", [3, 1, 2]), ("item", 3), ("item", 1), ("item", 2),
+        ]
+
+
+def run_serial(spec, config, method):
+    """A fresh benchmark + trainer per run, so reruns start identically."""
     bench = build_benchmark(spec, num_clients=3, rng=np.random.default_rng(0))
-    trainer = create_trainer(
-        method, bench, config, cluster=jetson_cluster(), engine=engine
-    )
-    result = trainer.run()
-    trainer.engine.close()
-    return result
+    with create_trainer(
+        method, bench, config, cluster=jetson_cluster(), engine="serial"
+    ) as trainer:
+        result = trainer.run()
+        state = {
+            key: value.copy()
+            for key, value in trainer.server.global_state.items()
+        }
+    return result, state
 
 
-class TestParallelReproducibility:
-    @pytest.mark.parametrize(
-        "method", ["fedavg", "fedknow", "fedweit", "flcn"]
-    )
-    def test_thread_engine_matches_serial_exactly(self, spec, config, method):
-        serial = run_with_engine(spec, config, method, "serial")
-        threaded = run_with_engine(spec, config, method, "thread")
+@pytest.mark.parametrize("method", ["flcn", "fedweit"])
+class TestSerialOnlyMethods:
+    """FLCN's and FedWEIT's clients exchange state with the live server
+    mid-round, so no engine but the serial one runs them."""
+
+    def test_other_engines_refuse(self, spec, config, method):
+        bench = build_benchmark(spec, num_clients=2,
+                                rng=np.random.default_rng(0))
+        with pytest.raises(ValueError, match=(
+            f"socket engine cannot run {method!r}: .*use the serial engine"
+        )):
+            create_trainer(method, bench, config, engine="socket:2")
+        with pytest.raises(ValueError, match=(
+            f"batched engine cannot run {method!r}: .*batch-safe methods"
+        )):
+            create_trainer(method, bench, config, engine="batched")
+
+    def test_serial_rerun_is_bit_identical(self, spec, config, method):
+        first_result, first_state = run_serial(spec, config, method)
+        second_result, second_state = run_serial(spec, config, method)
+        assert len(first_result.rounds) == 4  # 2 tasks x 2 rounds ran
         assert np.array_equal(
-            serial.accuracy_matrix, threaded.accuracy_matrix, equal_nan=True
+            first_result.accuracy_matrix, second_result.accuracy_matrix,
+            equal_nan=True,
         )
-        assert len(serial.rounds) == len(threaded.rounds)
-        for a, b in zip(serial.rounds, threaded.rounds):
-            assert a.position == b.position
-            assert a.round_index == b.round_index
-            assert a.upload_bytes == b.upload_bytes
-            assert a.download_bytes == b.download_bytes
-            assert a.sim_train_seconds == b.sim_train_seconds
-            assert a.sim_comm_seconds == b.sim_comm_seconds
-            assert a.active_clients == b.active_clients
-            assert a.mean_loss == b.mean_loss  # bit-identical losses
+        assert first_result.rounds == second_result.rounds
+        assert set(first_state) == set(second_state)
+        for key in first_state:
+            assert np.array_equal(first_state[key], second_state[key]), key

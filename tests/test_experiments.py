@@ -20,6 +20,7 @@ from repro.experiments import (
     run_fig5,
     run_fig6,
     run_fig8,
+    run_fig_scaling,
     run_fig_scenarios,
     run_single,
     run_table1,
@@ -187,6 +188,19 @@ class TestReports:
                           methods=("fedavg", "fedknow"))
         assert set(report.results) == {2, 3}
         assert "clients" in str(report)
+
+    def test_fig_scaling_grid(self):
+        report = run_fig_scaling(
+            UNIT, populations=(4,), shard_counts=(1, 2), rounds=1
+        )
+        # the serial unsharded reference leads, then each default engine,
+        # then the extra shard counts on serial
+        assert [(row.engine, row.shards) for row in report.rows] == [
+            ("serial", 1), ("batched", 1), ("socket", 1), ("serial", 2),
+        ]
+        assert all(row.population == 4 and row.rounds == 1
+                   for row in report.rows)
+        assert all(row.state_ok for row in report.rows)
 
 
 class TestSearch:

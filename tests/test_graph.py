@@ -28,6 +28,7 @@ from __future__ import annotations
 
 import gc
 import pickle
+import threading
 import tracemalloc
 import weakref
 
@@ -40,6 +41,7 @@ from repro.nn import functional as F
 from repro.nn.graph import (
     OPS,
     GraphTape,
+    active_tape,
     model_tape,
     replay_backward,
     replay_forward,
@@ -389,6 +391,28 @@ class TestCaptureSemantics:
         assert activation() is None
         out, (grad,) = tape.replay_grad({"x": x.data})
         assert np.isfinite(out) and grad.shape == (3, 4)
+
+    def test_capture_is_per_thread(self):
+        w = Tensor(np.ones((3,), np.float32), requires_grad=True)
+        seen = {}
+
+        def other():
+            seen["active"] = active_tape()
+            (w * w).sum()  # not recorded on this thread's tape
+            second = GraphTape()
+            with second.capture():  # no "already capturing" error
+                second.set_output((w * 2.0).sum())
+            seen["nodes"] = len(second.nodes)
+
+        tape = GraphTape()
+        with tape.capture():
+            thread = threading.Thread(target=other)
+            thread.start()
+            thread.join()
+            assert active_tape() is tape
+            tape.set_output((w * 3.0).sum())
+        assert seen == {"active": None, "nodes": 2}
+        assert len(tape.nodes) == 2  # only this thread's mul and sum
 
     def test_ops_after_set_output_are_refused(self):
         w = Tensor(np.ones((3,), np.float32), requires_grad=True)

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import json
 import os
+import threading
 
 import numpy as np
 import pytest
@@ -102,6 +103,47 @@ class TestTracer:
         assert train["parent_id"] in ids
         assert train["trace_id"] == parent.trace_id
         assert train["process"] == "worker-1"
+
+    def test_threads_keep_their_own_span_stacks(self):
+        tracer = Tracer(origin="t")
+        seen = {}
+
+        def work():
+            seen["context"] = tracer.current_context()
+            with tracer.span("work") as span:
+                seen["inner"] = tracer.current_context()
+            seen["span_id"] = span.span_id
+
+        with tracer.span("round") as round_span:
+            thread = threading.Thread(target=work)
+            thread.start()
+            thread.join()
+            # the other thread's span never sat on this thread's stack
+            assert tracer.current_context()[1] == round_span.span_id
+        by_name = {s["name"]: s for s in tracer.export()}
+        # a span opened on another thread does not nest under this
+        # thread's open span
+        assert by_name["work"]["parent_id"] is None
+        assert seen["context"] is None
+        assert seen["inner"][1] == seen["span_id"]
+
+    def test_other_threads_fall_back_to_the_adopted_base(self):
+        tracer = Tracer(origin="w1")
+        tracer.adopt(("trace-0", "main-7"))
+        seen = {}
+
+        def work():
+            seen["context"] = tracer.current_context()
+            with tracer.span("train_client"):
+                pass
+
+        thread = threading.Thread(target=work)
+        thread.start()
+        thread.join()
+        assert seen["context"] == ("trace-0", "main-7")
+        (span,) = tracer.export()
+        assert span["parent_id"] == "main-7"
+        assert span["trace_id"] == "trace-0"
 
     def test_drain_clears_but_ids_keep_advancing(self):
         tracer = Tracer(origin="w")

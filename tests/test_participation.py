@@ -22,7 +22,7 @@ from repro.federated import (
     FullParticipation,
     POLICIES,
     SampledParticipation,
-    ThreadedRoundEngine,
+    SerialRoundEngine,
     TrainConfig,
     create_policy,
     create_trainer,
@@ -548,17 +548,38 @@ class TestDeadlineEndToEnd:
         assert second.upload_bytes > 0
 
 
+class _ClosingEngine(SerialRoundEngine):
+    """A serial engine that counts its ``close`` calls."""
+
+    closed = 0
+
+    def close(self) -> None:
+        self.closed += 1
+
+
 class TestTrainerContextManager:
-    def test_exit_closes_threaded_engine(self, spec, config):
+    def test_exit_closes_its_engine(self, spec, config):
         bench = build_benchmark(spec, num_clients=2,
                                 rng=np.random.default_rng(0))
-        engine = ThreadedRoundEngine(max_workers=2)
+        engine = _ClosingEngine()
         with create_trainer(
             "fedavg", bench, config, with_cost_model=False, engine=engine,
         ) as trainer:
             trainer.run()
-            assert engine._executor is not None
-        assert engine._executor is None  # __exit__ closed the pool
+            assert engine.closed == 0
+        assert engine.closed == 1  # __exit__ closed the engine
+
+    def test_exit_closes_its_engine_when_the_body_raises(self, spec, config):
+        bench = build_benchmark(spec, num_clients=2,
+                                rng=np.random.default_rng(0))
+        engine = _ClosingEngine()
+        with pytest.raises(RuntimeError, match="mid-run"):
+            with create_trainer(
+                "fedavg", bench, config, with_cost_model=False,
+                engine=engine,
+            ):
+                raise RuntimeError("mid-run")
+        assert engine.closed == 1
 
     def test_close_idempotent(self, spec, config):
         bench = build_benchmark(spec, num_clients=2,
@@ -567,11 +588,6 @@ class TestTrainerContextManager:
                                  with_cost_model=False)
         trainer.close()
         trainer.close()
-
-    def test_engine_context_manager(self):
-        with ThreadedRoundEngine(max_workers=2) as engine:
-            assert engine.map(lambda x: x + 1, [1, 2]) == [2, 3]
-        assert engine._executor is None
 
 
 class TestCacheKeyCanonicalization:

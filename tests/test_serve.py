@@ -33,13 +33,11 @@ from repro.data import (
 )
 from repro.edge import jetson_cluster
 from repro.federated import (
-    FedAvgServer,
     TrainConfig,
     create_engine,
     create_trainer,
 )
 from repro.federated.base import SGDClient
-from repro.federated.sharding import ShardedAggregator
 from repro.obs import METRICS, Telemetry
 from repro.serve import (
     MAGIC,
@@ -193,12 +191,9 @@ class TestSocketEngineApi:
             assert isinstance(engine, SocketRoundEngine)
             assert engine.max_workers == 2
             # the declared contract: server-coupled methods stay in
-            # process, and shards fold on the server, one after another
+            # process
             assert engine.rejects("flcn") is not None
             assert engine.rejects("fedknow") is None
-            aggregator = engine.sharded_aggregator(FedAvgServer(), 2)
-            assert type(aggregator) is ShardedAggregator
-            assert aggregator.engine is None
         finally:
             engine.close()
 

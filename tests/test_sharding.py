@@ -6,8 +6,8 @@ Covers the three contracts the subsystem rests on:
   count produces the same bytes as the unsharded server (the fixed merge
   tree), including large rounds, sparse/bytes uploads and staleness
   discounts;
-* **execution bit-identity** — serial == thread == socket == sharded
-  training runs, across participation policies and scenario families;
+* **execution bit-identity** — serial == socket == sharded training
+  runs, across participation policies and scenario families;
 * **pickle safety** — clients, task streams and the client-data factory
   survive the process boundary unchanged.
 """
@@ -28,7 +28,6 @@ from repro.federated import (
     DeadlineParticipation,
     FedAvgServer,
     ShardedAggregator,
-    ThreadedRoundEngine,
     TrainConfig,
     create_policy,
     create_trainer,
@@ -158,19 +157,6 @@ class TestShardedAggregator:
         )
         assert states_equal(reference, out)
 
-    def test_thread_engine_shard_accumulation_identical(self):
-        rng = np.random.default_rng(5)
-        updates = make_updates(12, rng, dim=300)
-        reference = FedAvgServer().aggregate_updates(updates)
-        engine = ThreadedRoundEngine(max_workers=4)
-        try:
-            out = ShardedAggregator(
-                FedAvgServer(), 4, engine=engine
-            ).aggregate_updates(updates)
-        finally:
-            engine.close()
-        assert states_equal(reference, out)
-
     def test_shard_counts_partition_the_round(self):
         rng = np.random.default_rng(6)
         updates = make_updates(10, rng, dim=50)
@@ -285,10 +271,8 @@ def assert_runs_identical(reference, other):
 class TestExecutionMatrix:
     # "process" in a test name means out of process: the socket engine
     @pytest.mark.parametrize("engine,shards", [
-        ("thread", 1),
         ("socket:2", 1),
         ("serial", 3),
-        ("thread:2", 3),  # shard accumulation rides the thread pool
         ("socket:2", 3),  # socket rounds fold their shards on the server
     ])
     def test_fedavg_class_inc_full(self, spec, config, engine, shards):

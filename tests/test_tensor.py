@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import threading
+
 import numpy as np
 import pytest
 from hypothesis import given
@@ -9,7 +11,7 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 from repro.nn import Tensor, as_tensor, concat, no_grad, stack
-from repro.nn.tensor import _unbroadcast
+from repro.nn.tensor import _unbroadcast, is_grad_enabled
 
 floats = hnp.arrays(
     np.float64,
@@ -105,6 +107,27 @@ class TestBackwardBasics:
             y = x * 2.0
         assert not y.requires_grad
         assert y._backward is None
+
+    def test_no_grad_is_per_thread(self):
+        seen = {}
+
+        def other():
+            seen["enabled"] = is_grad_enabled()
+            x = Tensor(3.0, requires_grad=True)
+            (x * x).backward()
+            seen["grad"] = float(x.grad)
+            with no_grad():
+                seen["inside"] = is_grad_enabled()
+
+        with no_grad():
+            thread = threading.Thread(target=other)
+            thread.start()
+            thread.join()
+            # the other thread's no_grad exit did not re-enable this one
+            assert not is_grad_enabled()
+        assert is_grad_enabled()
+        # this thread's no_grad did not reach the other thread
+        assert seen == {"enabled": True, "grad": 6.0, "inside": False}
 
 
 class TestArithmetic:
