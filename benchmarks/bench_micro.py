@@ -16,13 +16,7 @@ from repro.core import GradientIntegrator, GradientRestorer, KnowledgeExtractor
 from repro.curv import FisherSelector
 from repro.core.qp import solve_nnqp_active_set, solve_nnqp_projected_gradient
 from repro.data import build_benchmark, cifar100_like, create_scenario
-from repro.federated import (
-    ClientUpdate,
-    FedAvgServer,
-    ShardedAggregator,
-    TrainConfig,
-    create_trainer,
-)
+from repro.federated import TrainConfig, create_trainer
 from repro.federated.batched import train_chunk, train_clients_batched
 from repro.models import build_model
 from repro.nn import SGD, Tensor
@@ -135,35 +129,6 @@ def test_scenario_construction_64_clients(benchmark, mode):
     assert bench.num_clients == 64
     expected = spec.num_tasks if mode == "eager" else 0
     assert bench.clients[0].tasks.num_materialized == expected
-
-
-def _population_updates(num_clients: int) -> list[ClientUpdate]:
-    """Model-state-shaped uploads for aggregation-scale benchmarks."""
-    rng = np.random.default_rng(0)
-    return [
-        ClientUpdate(
-            client_id=i,
-            state={
-                "features.weight": rng.normal(size=(64, 64, 3, 3)).astype(np.float32),
-                "classifier.weight": rng.normal(size=(100, 256)).astype(np.float32),
-                "bn.steps": np.array(100, dtype=np.int64),
-            },
-            num_samples=int(rng.integers(10, 100)),
-        )
-        for i in range(num_clients)
-    ]
-
-
-def test_sharded_merge_64_clients(benchmark):
-    """Shard-partitioned aggregation of a 64-client round (8 shards) —
-    the server-side hot path of large-population rounds.  Must stay
-    bit-identical to the unsharded server (asserted every run)."""
-    updates = _population_updates(64)
-    reference = FedAvgServer().aggregate_updates(updates)
-    out = benchmark(
-        lambda: ShardedAggregator(FedAvgServer(), 8).aggregate_updates(updates)
-    )
-    assert all(np.array_equal(reference[k], out[k]) for k in reference)
 
 
 def _round_work(seed: int) -> float:

@@ -46,7 +46,6 @@ from repro.data import cifar100_like, create_scenario
 from repro.federated import (
     ClientUpdate,
     FedAvgServer,
-    ShardedAggregator,
     TrainConfig,
     create_trainer,
 )
@@ -305,12 +304,6 @@ def hot_path_cases() -> dict[str, float]:
     }
     payload_v2 = encode_state(state, WIRE_V2)
     payload_delta = encode_state(delta_entries, WIRE_V2, delta_keys)
-    sharded_updates = [
-        ClientUpdate(client_id=i, state=s, num_samples=int(w))
-        for i, (s, w) in enumerate(
-            zip(client_states * 4, rng.integers(10, 100, size=64))
-        )
-    ]
     socket_engine = SocketRoundEngine(max_workers=2)
     try:
         socket_engine.map(_gate_round_work, range(8))  # spawn + handshake
@@ -335,13 +328,6 @@ def hot_path_cases() -> dict[str, float]:
         "sparse_topk": best_seconds(lambda: sparse_topk(dense, dense.size // 10)),
         "aggregate_16_clients": best_seconds(
             lambda: FedAvgServer().aggregate_updates(updates)
-        ),
-        # shard-merged streaming aggregation over a 64-client round — the
-        # server-side hot path of large-population (fig-scaling) rounds
-        "sharded_merge_64c": best_seconds(
-            lambda: ShardedAggregator(FedAvgServer(), 8).aggregate_updates(
-                sharded_updates
-            )
         ),
         # dispatch + pickle/framing overhead of one small socket-engine
         # round (workers are warm; measures the per-round tax, not spawn)

@@ -80,11 +80,6 @@ def _add_run_arguments(run_p: argparse.ArgumentParser,
                             "8) — or 'socket[:W]' — W socket-connected "
                             "worker processes with sticky client affinity "
                             "(identical metrics, faster wall clock)")
-    run_p.add_argument("--shards", type=int, default=1,
-                       help="partition each round's aggregation across this "
-                            "many streaming shard accumulators (identical "
-                            "global states; per-shard counts land on the "
-                            "round records)")
     run_p.add_argument("--scenario", default="class-inc",
                        help="data scenario family: 'class-inc' (the paper's "
                             "setup), 'domain-inc[:drift=R]', "
@@ -221,11 +216,6 @@ def _build_parser() -> argparse.ArgumentParser:
     serve_p.add_argument("--port", type=int, default=0,
                          help="listening port (0 binds an ephemeral port; "
                               "the bound address is printed at startup)")
-    serve_p.add_argument("--shards", type=int, default=1,
-                         help="partition each round's server-side "
-                              "aggregation across this many streaming shard "
-                              "accumulators (identical global states, as "
-                              "in `repro run`)")
     serve_p.add_argument("--participation", default=None,
                          help="participation policy spec (see `repro run`)")
     serve_p.add_argument("--transport", default=None,
@@ -312,10 +302,6 @@ def _cmd_run(args) -> int:
         print(f"error: --engine {args.engine} cannot run {args.method!r}: "
               f"{reason}", file=sys.stderr)
         return 2
-    if args.shards < 1:
-        print(f"error: --shards must be >= 1, got {args.shards}",
-              file=sys.stderr)
-        return 2
     if not 0.0 < args.upload_ratio <= 1.0:
         print(f"error: --upload-ratio must be in (0, 1], got "
               f"{args.upload_ratio:g}", file=sys.stderr)
@@ -353,8 +339,8 @@ def _cmd_run(args) -> int:
             cluster=cluster, seed=args.seed, use_cache=False,
             engine=args.engine,
             participation=participation, transport=transport,
-            scenario=args.scenario, shards=args.shards,
-            population=args.population, selector=args.selector,
+            scenario=args.scenario, population=args.population,
+            selector=args.selector,
         )
 
     exports = None
@@ -487,16 +473,12 @@ def _cmd_serve(args) -> int:
         print(f"error: --workers must be >= 1, got {args.workers}",
               file=sys.stderr)
         return 2
-    if args.shards < 1:
-        print(f"error: --shards must be >= 1, got {args.shards}",
-              file=sys.stderr)
-        return 2
     server = FederationServer(
         args.method, args.dataset, args.preset,
         num_workers=args.workers, host=args.host, port=args.port,
         clients=args.clients, tasks=args.tasks, seed=args.seed,
-        shards=args.shards, participation=args.participation,
-        transport=args.transport, scenario=args.scenario,
+        participation=args.participation, transport=args.transport,
+        scenario=args.scenario,
     )
     try:
         host, port = server.address

@@ -2,22 +2,18 @@
 
 The paper's evaluation tops out at 50 edge clients (Fig. 8); this figure
 measures the *systems* side of client scaling — wall-clock rounds/sec and
-peak RSS as the population grows — across the execution/aggregation grid
-the sharded population subsystem opens up:
+peak RSS as the population grows — across the round engines: ``serial``
+(reference), ``batched`` (clients stacked along a leading axis on a
+captured graph tape — one batched forward/backward per step) and
+``socket`` (the serve subsystem's GIL-free framed-TCP worker processes with
+sticky client affinity, worker-rebuilt task data and shared-memory
+global-state broadcast — clients cross the wire once per task, not per
+round).
 
-* round engines: ``serial`` (reference), ``batched`` (clients stacked
-  along a leading axis on a captured graph tape — one batched
-  forward/backward per step), ``socket`` (the serve subsystem's GIL-free
-  framed-TCP worker processes with sticky client affinity, worker-rebuilt
-  task data and shared-memory global-state broadcast — clients cross the
-  wire once per task, not per round);
-* aggregation shards: 1 (the single streaming accumulator) vs K independent
-  shard accumulators merged in fixed order.
-
-Every configuration must land on the **same global model**: the
-``state_ok`` column checks the final global state bit-for-bit against the
-serial unsharded reference at the same population, so the throughput table
-doubles as a regression harness for the bit-identity contract.
+Every engine must land on the **same global model**: the ``state_ok``
+column checks the final global state bit-for-bit against the serial
+reference at the same population, so the throughput table doubles as a
+regression harness for the bit-identity contract.
 
 Measurement notes: each row times ``FederatedTrainer.run_task`` (task
 setup + the aggregation rounds, no end-of-stage evaluation) on a fresh
@@ -78,11 +74,10 @@ def _peak_rss_mb() -> float:
 
 @dataclass
 class ScalingRow:
-    """One (population, engine, shards) measurement."""
+    """One (population, engine) measurement."""
 
     population: int
     engine: str
-    shards: int
     rounds: int
     wall_seconds: float
     rounds_per_sec: float
@@ -92,34 +87,30 @@ class ScalingRow:
 
 @dataclass
 class FigScalingReport:
-    """Round throughput across populations, engines and shard counts."""
+    """Round throughput across populations and engines."""
 
     rows: list[ScalingRow] = field(default_factory=list)
     method: str = "fedavg"
     cpus: int = field(default_factory=lambda: os.cpu_count() or 1)
 
     def speedup(self, population: int, engine: str) -> float:
-        """Rounds/sec of ``engine`` relative to serial at ``population``
-        (shards = 1 on both sides); NaN when either row is missing."""
-        by_key = {
-            (r.population, r.engine, r.shards): r.rounds_per_sec
-            for r in self.rows
-        }
-        reference = by_key.get((population, "serial", 1))
-        measured = by_key.get((population, engine, 1))
+        """Rounds/sec of ``engine`` relative to serial at ``population``;
+        NaN when either row is missing."""
+        by_key = {(r.population, r.engine): r.rounds_per_sec for r in self.rows}
+        reference = by_key.get((population, "serial"))
+        measured = by_key.get((population, engine))
         if not reference or not measured:
             return float("nan")
         return measured / reference
 
     def __str__(self) -> str:
         return format_table(
-            ["clients", "engine", "shards", "rounds/s", "wall_s",
-             "peak_rss_mb", "state_ok"],
+            ["clients", "engine", "rounds/s", "wall_s", "peak_rss_mb",
+             "state_ok"],
             [
                 [
                     row.population,
                     row.engine,
-                    row.shards,
                     round(row.rounds_per_sec, 3),
                     round(row.wall_seconds, 2),
                     round(row.peak_rss_mb, 1),
@@ -256,18 +247,16 @@ def run_fig_scaling(
     preset: ScalePreset = BENCH,
     populations: tuple[int, ...] | None = None,
     engines: tuple[str, ...] = ("serial", "batched", "socket"),
-    shard_counts: tuple[int, ...] = (1, 4, 16),
     method: str = "fedavg",
     rounds: int | None = None,
     seed: int = 0,
 ) -> FigScalingReport:
-    """Measure rounds/sec and peak RSS across the scaling grid.
+    """Measure rounds/sec and peak RSS across populations and engines.
 
-    Per population the grid is ``engines`` at 1 shard plus the extra
-    ``shard_counts`` on the serial engine (sharding is aggregation-side and
-    orthogonal to the round engine).  Each cell trains ``method`` for one
-    task stage of ``rounds`` aggregation rounds on a deliberately small
-    synthetic workload — the point is the round machinery, not the model.
+    Per population the grid is the serial engine, then each other of
+    ``engines``.  Each cell trains ``method`` for one task stage of
+    ``rounds`` aggregation rounds on a deliberately small synthetic
+    workload — the point is the round machinery, not the model.
     """
     populations = (
         populations
@@ -287,13 +276,11 @@ def run_fig_scaling(
     )
     report = FigScalingReport(method=method)
     for population in populations:
-        # the serial unsharded row leads the grid: it is the bit-identity
-        # reference every other row's state_ok is checked against
-        grid = [("serial", 1)]
-        grid += [(engine, 1) for engine in engines if engine != "serial"]
-        grid += [("serial", k) for k in shard_counts if k != 1]
+        # the serial row leads the grid: it is the bit-identity reference
+        # every other row's state_ok is checked against
+        grid = ["serial"] + [engine for engine in engines if engine != "serial"]
         reference_state: dict[str, np.ndarray] | None = None
-        for engine, shards in grid:
+        for engine in grid:
             benchmark = scenario.build(
                 spec, num_clients=population, rng=np.random.default_rng(seed)
             )
@@ -304,7 +291,6 @@ def run_fig_scaling(
                 config,
                 with_cost_model=False,
                 engine=engine,
-                shards=shards,
                 data_factory=data_factory,
             ) as trainer:
                 # the figure prints rounds/s with tracing off, so the time
@@ -317,7 +303,7 @@ def run_fig_scaling(
                     for key, value in trainer.server.global_state.items()
                 }
             if reference_state is None:
-                reference_state = state  # serial, 1 shard: the reference
+                reference_state = state  # serial: the reference
             state_ok = set(reference_state) == set(state) and all(
                 np.array_equal(reference_state[key], state[key])
                 for key in reference_state
@@ -326,7 +312,6 @@ def run_fig_scaling(
                 ScalingRow(
                     population=population,
                     engine=engine,
-                    shards=shards,
                     rounds=len(records),
                     wall_seconds=wall,
                     rounds_per_sec=len(records) / wall if wall > 0 else 0.0,

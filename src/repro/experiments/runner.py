@@ -61,7 +61,6 @@ def _cache_key(
     participation: str,
     transport: str,
     scenario: str = "class-inc",
-    shards: int = 1,
     population: str | None = None,
     selector: str = "magnitude",
 ) -> tuple:
@@ -92,7 +91,6 @@ def _cache_key(
         participation,
         transport,
         scenario,
-        shards,
         population,
         selector,
     )
@@ -112,7 +110,6 @@ def run_single(
     participation: str | ParticipationPolicy | None = None,
     transport: str | Transport | None = None,
     scenario: str | Scenario | None = None,
-    shards: int = 1,
     population: str | PopulationModel | None = None,
     selector: str | None = None,
 ) -> RunResult:
@@ -120,10 +117,7 @@ def run_single(
 
     ``engine`` selects the round engine ("serial", "batched[:B]" or
     "socket[:W]"); all produce identical training metrics, so it does not
-    participate in the result cache key.  ``shards`` > 1 partitions each
-    round's aggregation across that many streaming shard accumulators;
-    the final states stay bit-identical but per-shard accounting lands on
-    the round records, so shards *are* part of the cache key.
+    participate in the result cache key.
     ``participation`` selects who trains/reports each round ("full",
     "sampled:<fraction>", "deadline:<seconds>", "deadline:auto"); it
     changes the metrics, so it *is* part of the cache key.  ``None`` defers
@@ -182,7 +176,7 @@ def run_single(
     key = _cache_key(
         method, scaled, preset, seed, cluster, network,
         model_kwargs, method_kwargs, participation_key, transport_key,
-        scenario_obj.describe(), shards, population_key, selector_key,
+        scenario_obj.describe(), population_key, selector_key,
     )
     if use_cache and key in _CACHE:
         return _CACHE[key]
@@ -209,7 +203,6 @@ def run_single(
         engine=engine,
         participation=participation,
         transport=transport,
-        shards=shards,
         data_factory=data_factory,
         population=population,
         selector=selector,

@@ -146,7 +146,6 @@ def create_trainer(
     engine: str | RoundEngine = "serial",
     participation: str | ParticipationPolicy | None = None,
     transport: str | Transport | None = None,
-    shards: int = 1,
     data_factory=None,
     population: str | PopulationModel | None = None,
     selector: str | None = None,
@@ -154,9 +153,7 @@ def create_trainer(
     """Build a :class:`FederatedTrainer` running ``method`` on ``benchmark``.
 
     ``engine`` accepts instance or spec (``"serial"``, ``"batched[:B]"``,
-    ``"socket[:W]"``); ``shards`` > 1 partitions each round's aggregation
-    across that many streaming shard accumulators;
-    ``data_factory`` is the picklable
+    ``"socket[:W]"``); ``data_factory`` is the picklable
     :class:`~repro.data.scenario.ClientDataFactory` the socket engine uses
     to rebuild task data inside its workers.  ``population``
     (a spec like ``"pareto:1.5,churn=300/600"`` or a
@@ -170,11 +167,6 @@ def create_trainer(
     if method not in ALL_METHODS:
         raise KeyError(f"unknown method {method!r}; known: {sorted(ALL_METHODS)}")
     resolved_selector = resolve_selector(method, selector)
-    if method == "fedvb" and shards > 1:
-        raise ValueError(
-            "fedvb's precision-weighted aggregation does not shard yet; "
-            "run it with --shards 1"
-        )
     rng = rng or np.random.default_rng(config.seed)
     model_kwargs = dict(model_kwargs or {})
     method_kwargs = dict(method_kwargs or {})
@@ -280,7 +272,6 @@ def create_trainer(
         participation=participation,
         transport=transport,
         scenario=benchmark.scenario,
-        shards=shards,
         data_factory=data_factory,
         selector=resolved_selector,
         **trainer_kwargs,

@@ -11,12 +11,12 @@ top-k deltas from the current global state), and raw payload bytes produced
 by :func:`~repro.utils.serialization.encode_state` (decoded against the
 global state, so v2 flags keep their meaning).
 
-The streaming math lives in :class:`StreamingAccumulator` so it can run in
-one piece (this server) or per shard
-(:class:`~repro.federated.sharding.ShardedAggregator` partitions a round's
-updates across several accumulators and merges their partial sums).  Either
-way the final state is installed through :meth:`FedAvgServer.install_aggregate`,
-the hook subclasses use for post-aggregation behaviour (FLCN's rehearsal
+The streaming math lives in :class:`StreamingAccumulator`.  A round of up
+to :data:`MERGE_SEGMENTS` uploads is one sequential sum; a larger round
+accumulates fixed contiguous segments and folds them left to right, which
+keeps the bits such rounds have always had.  Either way the final state is
+installed through :meth:`FedAvgServer.install_aggregate`, the hook
+subclasses use for post-aggregation behaviour (FLCN's rehearsal
 fine-tuning).
 """
 
@@ -39,13 +39,9 @@ from .slices import shard_slices
 #: clients are split (in report order) into at most this many contiguous
 #: segments; each segment accumulates sequentially and segments are folded
 #: left-to-right.  With up to ``MERGE_SEGMENTS`` clients every segment holds
-#: one client and the fold *is* the plain sequential sum — bit-identical to
-#: the pre-sharding aggregator on every existing workload.  Beyond that the
-#: tree is fixed and independent of how segments are assigned to shard
-#: accumulators, which is what makes
-#: :class:`~repro.federated.sharding.ShardedAggregator` bit-identical to
-#: this server for **any** shard count: both execute the same rounded float
-#: operations in the same order.
+#: one client and the fold *is* the plain sequential sum.  Larger rounds keep
+#: the tree because it fixes their float additions: a sequential sum would
+#: round them differently (``tests/test_federated.py`` pins the order).
 MERGE_SEGMENTS = 64
 
 
@@ -121,7 +117,7 @@ class StreamingAccumulator:
                 "first segment"
             )
         if other.key_set != self.key_set:
-            raise ValueError("shards accumulated inconsistent state keys")
+            raise ValueError("segments accumulated inconsistent state keys")
         for key in self.key_order:
             if key in self.fixed:
                 continue
@@ -167,15 +163,14 @@ class FedAvgServer:
         if len(states) <= MERGE_SEGMENTS:
             # every merge segment holds one client: the fold degenerates to
             # the plain sequential streaming sum (one decoded client state
-            # resident at a time), bit-identical to the pre-sharding server
+            # resident at a time)
             accumulator = StreamingAccumulator(base=self.global_state)
             for state, weight in zip(states, weights):
                 accumulator.add(state, weight / total)
             return self.install_aggregate(accumulator.finalize())
         # large round: accumulate the canonical merge segments one at a time
         # and fold each into the running total as it completes — still O(1)
-        # peak memory (one segment + the fold), and the exact float-op
-        # sequence any sharded execution of the same round replays
+        # peak memory (one segment + the fold)
         fold: StreamingAccumulator | None = None
         for segment in shard_slices(len(states), MERGE_SEGMENTS):
             accumulator = StreamingAccumulator(base=self.global_state)
@@ -190,11 +185,10 @@ class FedAvgServer:
     def install_aggregate(
         self, aggregated: dict[str, np.ndarray]
     ) -> dict[str, np.ndarray]:
-        """Adopt an externally assembled aggregate as the new global state.
+        """Adopt an assembled aggregate as the new global state.
 
-        Both :meth:`aggregate` and the sharded merge path land here, so
-        subclasses hook post-aggregation behaviour (FLCN's rehearsal
-        fine-tuning) in one place and it applies to either.
+        Every aggregation lands here, so subclasses hook post-aggregation
+        behaviour (FLCN's rehearsal fine-tuning) in one place.
         """
         self.global_state = aggregated
         self.round_index += 1

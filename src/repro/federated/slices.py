@@ -1,8 +1,8 @@
-"""Contiguous near-even partitions: aggregation shards and merge segments.
+"""Contiguous near-even partitions: merge segments and reporting shards.
 
-A leaf module, shared by the aggregation server (its merge tree), the shard
-aggregator and the population simulator (its reporting shards), so the
-simulator does not import the server to split its population.
+A leaf module, shared by the aggregation server (its merge tree) and the
+population simulator (its reporting shards), so the simulator does not
+import the server to split its population.
 """
 
 from __future__ import annotations

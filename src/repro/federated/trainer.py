@@ -10,7 +10,7 @@ bandwidth), and device out-of-memory dropout — and assembles the
 :class:`~repro.metrics.tracker.RunResult` that the experiment harness
 reports.
 
-The round lifecycle is expressed through typed messages and four pluggable
+The round lifecycle is expressed through typed messages and three pluggable
 policies:
 
 * a :class:`~repro.federated.participation.ParticipationPolicy` plans each
@@ -36,16 +36,13 @@ policies:
   decode uploads against the link's shared base state, and convert bytes
   to simulated seconds through per-device asymmetric links.
   Protocol latency is charged **once per round-trip**: the upload leg
-  carries it, the download leg rides the open connection;
-* with ``shards > 1`` a :class:`~repro.federated.sharding.ShardedAggregator`
-  partitions each round's updates across K independent streaming
-  accumulators and merges their partials in fixed order — bit-identical to
-  the unsharded server on float32 states, with per-shard counts recorded
-  on the :class:`~repro.metrics.tracker.RoundRecord`.
+  carries it, the download leg rides the open connection.
 
-A round where nobody reports and no straggler work is pending leaves the
+The server alone aggregates: every round on every engine folds its updates
+through :meth:`~repro.federated.server.FedAvgServer.aggregate_updates`.  A
+round where nobody reports and no straggler work is pending leaves the
 global model untouched and is recorded as **skipped** — empty rounds never
-reach the aggregator (which rejects them with a :class:`ValueError`).
+reach the server (which rejects them with a :class:`ValueError`).
 
 The trainer is a context manager; it owns its engine and closes it on exit,
 so a socket engine cannot leak its worker processes.
@@ -72,7 +69,6 @@ from .engine import RoundEngine, StateHandle, create_engine
 from .participation import ParticipationPolicy, create_policy
 from .protocol import ClientUpdate, RoundOutcome, RoundPlan
 from .server import FedAvgServer
-from .sharding import ShardedAggregator
 from .transport import Channel, Transport, create_transport
 
 # Cached instrument handles (always-on; ``drain`` zeroes them in place).
@@ -265,7 +261,6 @@ class FederatedTrainer:
         participation: str | ParticipationPolicy | None = None,
         transport: str | Transport | None = None,
         scenario: str = "class-inc",
-        shards: int = 1,
         data_factory=None,
         selector: str = "magnitude",
     ):
@@ -289,13 +284,7 @@ class FederatedTrainer:
         self.scenario = scenario
         self.selector = selector
         self.engine = create_engine(engine)
-        if shards < 1:
-            raise ValueError(f"need at least one shard, got {shards}")
-        self.shards = shards
         self.engine.bind(clients, data_factory)
-        self.aggregator = (
-            ShardedAggregator(server, shards) if shards > 1 else None
-        )
         self.policy = create_policy(
             participation if participation is not None else config.participation,
             seed=config.seed,
@@ -515,23 +504,15 @@ class FederatedTrainer:
         if plan.deadline_seconds is not None:
             train_seconds = min(train_seconds, plan.deadline_seconds)
 
-        shard_reported: tuple[int, ...] = ()
         skipped = False
         if outcome.updates:
             with _obs_trace.TRACER.span(
-                "aggregate", updates=len(outcome.updates), shards=self.shards
+                "aggregate", updates=len(outcome.updates)
             ):
-                if self.aggregator is not None:
-                    global_state = self.aggregator.aggregate_updates(
-                        outcome.updates,
-                        staleness_discount=self.policy.staleness_discount,
-                    )
-                    shard_reported = self.aggregator.last_shard_counts
-                else:
-                    global_state = self.server.aggregate_updates(
-                        outcome.updates,
-                        staleness_discount=self.policy.staleness_discount,
-                    )
+                global_state = self.server.aggregate_updates(
+                    outcome.updates,
+                    staleness_discount=self.policy.staleness_discount,
+                )
         else:
             # nobody reported in time and nothing was pending: the global
             # model is unchanged this round — the round is recorded as
@@ -615,7 +596,6 @@ class FederatedTrainer:
             stale_clients=len(outcome.stale),
             raw_upload_bytes=raw_up_total,
             evicted=len(outcome.evicted),
-            shard_reported=shard_reported,
             skipped=skipped,
             lost=len(lost),
         )

@@ -47,7 +47,6 @@ def result_to_dict(result: RunResult) -> dict:
                 "stale_clients": r.stale_clients,
                 "evicted": r.evicted,
                 "raw_upload_bytes": r.raw_upload_bytes,
-                "shard_reported": list(r.shard_reported),
                 "skipped": r.skipped,
                 "lost": r.lost,
             }
@@ -85,10 +84,9 @@ def result_from_dict(payload: dict) -> RunResult:
             evicted=r.get("evicted", 0),
             # absent in payloads written before the transport redesign
             raw_upload_bytes=r.get("raw_upload_bytes", -1),
-            # absent in payloads written before the sharded population
-            # subsystem (their ``merge_seconds`` timer is ignored: the
-            # ``aggregate`` telemetry span times the merge)
-            shard_reported=tuple(r.get("shard_reported", ())),
+            # absent in payloads written before skipped rounds; fields are
+            # read by name, so the per-shard counts and merge timer that
+            # older payloads carry are ignored
             skipped=r.get("skipped", False),
             # absent in payloads written before the socket federation service
             lost=r.get("lost", 0),

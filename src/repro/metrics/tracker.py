@@ -39,8 +39,6 @@ class RoundRecord:
     #: What the round's uploads would have cost as dense v1 (the transport
     #: compression baseline); defaults to ``upload_bytes`` (no compression).
     raw_upload_bytes: int = -1
-    #: Updates each aggregation shard consumed (empty = unsharded round).
-    shard_reported: tuple[int, ...] = ()
     #: True when nobody reported and no straggler work was pending: the
     #: global model was left untouched and aggregation never ran.
     skipped: bool = False
@@ -55,7 +53,6 @@ class RoundRecord:
             self.reported_clients = self.planned_clients
         if self.raw_upload_bytes < 0:
             self.raw_upload_bytes = self.upload_bytes
-        self.shard_reported = tuple(self.shard_reported)
 
     @property
     def upload_compression(self) -> float:

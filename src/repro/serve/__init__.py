@@ -7,8 +7,8 @@ ordinary :class:`~repro.federated.engine.RoundEngine` contract, so
 trainers, participation policies, transports and metrics work unchanged —
 and bit-identically to the serial engine — while clients stay pinned to
 their worker between rounds (sticky affinity).  Workers only train: every
-update comes back whole in its RESULT frame, and the server aggregates it,
-sharded or not, exactly as the serial engine would.
+update comes back whole in its RESULT frame, and the server aggregates it
+exactly as the serial engine would.
 
 Start a service with ``repro serve`` and attach workers with
 ``repro worker --connect HOST:PORT`` (see the README's Serving section),

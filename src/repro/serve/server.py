@@ -13,9 +13,9 @@ boundary.
 
 Aggregation happens here, on the server: every RESULT frame already carries
 each :class:`~repro.federated.protocol.ClientUpdate` with its full state,
-so ``shards`` > 1 folds the round through the same in-process
-:class:`~repro.federated.sharding.ShardedAggregator` the serial engine
-uses, bit-identical to the unsharded server.
+and the trainer folds the round through
+:meth:`~repro.federated.server.FedAvgServer.aggregate_updates`, as the
+serial engine does.
 """
 
 from __future__ import annotations
@@ -55,7 +55,6 @@ class FederationServer:
         clients: int | None = None,
         tasks: int | None = None,
         seed: int = 0,
-        shards: int = 1,
         participation: str | None = None,
         transport: str | None = None,
         scenario: str = "class-inc",
@@ -87,7 +86,6 @@ class FederationServer:
             engine=self.engine,
             participation=participation,
             transport=transport,
-            shards=shards,
             data_factory=ClientDataFactory(
                 scenario_obj, scaled, preset_obj.num_clients, seed
             ),

@@ -121,10 +121,10 @@ class TestRun:
         assert code == 0
         assert "combined" in capsys.readouterr().out
 
-    def test_run_with_shards_and_process_engine(self, capsys):
+    def test_run_with_process_engine(self, capsys):
         code = main([
             "run", "--method", "fedavg", "--dataset", "cifar100",
-            "--preset", "unit", "--engine", "socket:2", "--shards", "2",
+            "--preset", "unit", "--engine", "socket:2",
         ])
         assert code == 0
         assert "accuracy" in capsys.readouterr().out
@@ -145,13 +145,16 @@ class TestRun:
         assert code == 2
         assert "--engine" in capsys.readouterr().err
 
-    def test_invalid_shards_rejected(self, capsys):
-        code = main([
-            "run", "--method", "fedavg", "--dataset", "cifar100",
-            "--preset", "unit", "--shards", "0",
-        ])
-        assert code == 2
-        assert "--shards" in capsys.readouterr().err
+    def test_run_and_serve_have_no_shards_flag(self, capsys):
+        # only `simulate` partitions anything into shards (TestSimulate)
+        for command in ("run", "serve"):
+            with pytest.raises(SystemExit) as exited:
+                main([
+                    command, "--method", "fedavg", "--dataset", "cifar100",
+                    "--preset", "unit", "--shards", "2",
+                ])
+            assert exited.value.code == 2
+            assert "--shards" in capsys.readouterr().err
 
     def test_invalid_selector_rejected(self, capsys):
         code = main([

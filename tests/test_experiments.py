@@ -190,13 +190,10 @@ class TestReports:
         assert "clients" in str(report)
 
     def test_fig_scaling_grid(self):
-        report = run_fig_scaling(
-            UNIT, populations=(4,), shard_counts=(1, 2), rounds=1
-        )
-        # the serial unsharded reference leads, then each default engine,
-        # then the extra shard counts on serial
-        assert [(row.engine, row.shards) for row in report.rows] == [
-            ("serial", 1), ("batched", 1), ("socket", 1), ("serial", 2),
+        report = run_fig_scaling(UNIT, populations=(4,), rounds=1)
+        # the serial reference leads, then each other default engine
+        assert [row.engine for row in report.rows] == [
+            "serial", "batched", "socket",
         ]
         assert all(row.population == 4 and row.rounds == 1
                    for row in report.rows)

@@ -16,7 +16,9 @@ from repro.edge import (
 )
 from repro.federated import (
     ALL_METHODS,
+    MERGE_SEGMENTS,
     APFLClient,
+    ClientUpdate,
     FedAvgServer,
     FedRepClient,
     FedVBServer,
@@ -24,8 +26,10 @@ from repro.federated import (
     FedWeitServer,
     FLCNServer,
     SGDClient,
+    StreamingAccumulator,
     TrainConfig,
     create_trainer,
+    shard_slices,
 )
 from repro.models import build_model
 
@@ -44,6 +48,42 @@ def model_factory(spec):
         )
 
     return factory
+
+
+def float64_updates(n, rng):
+    """Float64 uploads with mixed sample counts and an int64 key: a float32
+    cast would hide the order of a large round's sum."""
+    return [
+        ClientUpdate(
+            client_id=i,
+            state={"w": rng.normal(size=(300,)),
+                   "steps": np.array(100 + i, dtype=np.int64)},
+            num_samples=int(rng.integers(1, 100)),
+        )
+        for i in range(n)
+    ]
+
+
+def merge_tree_oracle(updates, staleness_discount=0.5):
+    """The server's sum order, written out: each ``shard_slices`` segment
+    of at most ``MERGE_SEGMENTS`` sums its ``(w_i / total) * v_i`` terms
+    from zeros in float64, and the segment sums fold left to right.  With
+    up to ``MERGE_SEGMENTS`` uploads every segment holds one term, so this
+    is the plain sequential sum."""
+    weights = [update.effective_weight(staleness_discount)
+               for update in updates]
+    total = float(sum(weights))
+    terms = [
+        (weight / total) * update.state["w"]
+        for weight, update in zip(weights, updates)
+    ]
+    folded = None
+    for segment in shard_slices(len(terms), MERGE_SEGMENTS):
+        partial = np.zeros_like(terms[0])
+        for term in terms[segment]:
+            partial += term
+        folded = partial if folded is None else folded + partial
+    return folded, terms
 
 
 class TestFedAvgServer:
@@ -170,6 +210,119 @@ class TestFedAvgServer:
                                  np.ones(1, np.float32), (3,))}
         with pytest.raises(ValueError):
             server.aggregate([bad], [1])
+
+    # 6 uploads take the sequential sum, 150 the merge tree
+    @pytest.mark.parametrize("n", [6, 150])
+    def test_bytes_uploads_match_mappings(self, rng, n):
+        from repro.utils.serialization import encode_state
+
+        states = [
+            {"w": rng.normal(size=(100,)).astype(np.float32),
+             "steps": np.array(100 + i, dtype=np.int64)}
+            for i in range(n)
+        ]
+        weights = rng.integers(10, 100, size=n).tolist()
+        plain = FedAvgServer().aggregate(states, weights)
+        encoded = FedAvgServer().aggregate(
+            [encode_state(state) for state in states], weights
+        )
+        assert set(plain) == set(encoded)
+        for key in plain:
+            assert np.array_equal(plain[key], encoded[key])
+
+    @pytest.mark.parametrize("n", [6, 150])
+    def test_sparse_uploads_match_densified_mappings(self, rng, n):
+        """Every segment of a large round densifies sparse deltas against
+        the global state, as the sequential sum does."""
+        from repro.utils.serialization import sparse_topk
+
+        base = {"w": rng.normal(size=(400,)).astype(np.float32)}
+        deltas = [
+            sparse_topk(rng.normal(scale=0.1, size=(400,)).astype(np.float32),
+                        40)
+            for _ in range(n)
+        ]
+        weights = rng.integers(1, 100, size=n).tolist()
+        outs = []
+        for uploads in (
+            [{"w": delta} for delta in deltas],
+            [{"w": delta.to_dense() + base["w"]} for delta in deltas],
+        ):
+            server = FedAvgServer()
+            server.aggregate([base], [1])  # establish the global state
+            outs.append(server.aggregate(uploads, weights))
+        sparse, dense = outs
+        assert np.array_equal(sparse["w"], dense["w"])
+        assert not np.array_equal(sparse["w"], base["w"])
+
+    @pytest.mark.parametrize(
+        "n", [1, 5, 16, MERGE_SEGMENTS, MERGE_SEGMENTS + 1, 128]
+    )
+    def test_sum_follows_the_merge_tree_at_every_round_size(self, rng, n):
+        updates = float64_updates(n, rng)
+        updates[-1].staleness = 2
+        out = FedAvgServer().aggregate_updates(updates, staleness_discount=0.25)
+        folded, _ = merge_tree_oracle(updates, staleness_discount=0.25)
+        assert np.array_equal(out["w"], folded)
+
+    def test_large_round_sums_segment_by_segment(self, rng):
+        """Past ``MERGE_SEGMENTS`` uploads each ``shard_slices`` segment
+        sums from zeros and the segment sums fold left to right."""
+        updates = float64_updates(150, rng)
+        updates[7].staleness = 1
+        out = FedAvgServer().aggregate_updates(updates, staleness_discount=0.25)
+        folded, terms = merge_tree_oracle(updates, staleness_discount=0.25)
+        assert np.array_equal(out["w"], folded)
+        sequential = np.zeros(300)
+        for term in terms:
+            sequential += term
+        # the data tells the two orders apart, so the case pins the tree
+        assert not np.array_equal(folded, sequential)
+
+    def test_large_round_keeps_the_first_clients_integer_keys(self, rng):
+        out = FedAvgServer().aggregate_updates(float64_updates(150, rng))
+        assert out["steps"] == 100
+        assert out["steps"].dtype == np.int64
+
+    def test_large_round_segment_with_other_keys_raises(self, rng):
+        updates = float64_updates(MERGE_SEGMENTS + 1, rng)
+        # alone in the last segment, so the fold meets the mismatch
+        updates[-1].state = {"v": updates[-1].state["w"]}
+        with pytest.raises(ValueError, match="inconsistent"):
+            FedAvgServer().aggregate_updates(updates)
+
+
+class TestStreamingAccumulator:
+    def test_fold_in_adds_partial_sums_and_counts(self):
+        left, right = StreamingAccumulator(), StreamingAccumulator()
+        left.add({"w": np.array([1.0, 2.0]),
+                  "steps": np.array(3, dtype=np.int64)}, 0.5)
+        right.add({"w": np.array([4.0, 8.0]),
+                   "steps": np.array(7, dtype=np.int64)}, 0.25)
+        right.add({"w": np.array([0.0, 4.0]),
+                   "steps": np.array(9, dtype=np.int64)}, 0.25)
+        left.fold_in(right)
+        assert left.count == 3
+        out = left.finalize()
+        assert np.array_equal(out["w"], [1.5, 4.0])
+        # the left segment holds the round's first client
+        assert out["steps"] == 3
+
+    def test_fold_in_rejects_empty_accumulator(self):
+        left = StreamingAccumulator()
+        left.add({"w": np.ones(2)}, 1.0)
+        with pytest.raises(ValueError, match="empty accumulator"):
+            left.fold_in(StreamingAccumulator())
+
+    def test_fold_into_empty_accumulator_rejected(self):
+        right = StreamingAccumulator()
+        right.add({"w": np.ones(2)}, 1.0)
+        with pytest.raises(ValueError, match="first segment"):
+            StreamingAccumulator().fold_in(right)
+
+    def test_finalize_without_uploads_raises(self):
+        with pytest.raises(ValueError, match="no client states"):
+            StreamingAccumulator().finalize()
 
 
 class TestFLCNServer:

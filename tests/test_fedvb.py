@@ -184,13 +184,6 @@ class TestFedVBTraining:
         assert result.final_accuracy > 1.0 / spec.num_classes
         assert result.accuracy_matrix.shape == (2, 2)
 
-    def test_sharding_rejected(self, spec, config):
-        bench = build_benchmark(
-            spec, num_clients=4, rng=np.random.default_rng(0)
-        )
-        with pytest.raises(ValueError, match="shard"):
-            create_trainer("fedvb", bench, config, shards=2)
-
 
 # ----------------------------------------------------------------------
 # selector seam bit-identity across full runs

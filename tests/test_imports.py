@@ -200,13 +200,12 @@ import repro.models.inception
 from repro.federated.simulation import EventDrivenTrainer as from_sim
 from repro.federated.event_trainer import EventDrivenTrainer
 from repro.federated.server import shard_slices as from_server
-from repro.federated.sharding import shard_slices as from_sharding
 from repro.federated.slices import shard_slices
 from repro.models import densenet, inception
 
 print(json.dumps({
     "trainer": from_sim is EventDrivenTrainer,
-    "slices": from_server is shard_slices and from_sharding is shard_slices,
+    "slices": from_server is shard_slices,
     # a factory, not the module of the same name it lives in
     "factories": [isinstance(f, types.FunctionType)
                   for f in (densenet, inception)],

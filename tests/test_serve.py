@@ -2,15 +2,14 @@
 
 The bit-identity suite is the subsystem's acceptance bar: socket rounds
 must reproduce serial rounds bit for bit across participation policies and
-transports, with sharded aggregation folded on the server (over the same
-wire traffic as an unsharded round) and with framed (``assume_remote``)
-state broadcasts.  The fault suite kills workers mid-round and between
-rounds and checks the service's survival contract: the round completes
-with the surviving clients, the lost count lands on the
-:class:`RoundRecord`, and reconnecting workers are admitted at the next
-round boundary.  The lifecycle suite does the same at task boundaries,
-which run on the workers: a worker lost there costs no client, and a
-worker that joins between tasks takes its share of the clients.
+transports, and with framed (``assume_remote``) state broadcasts.  The
+fault suite kills workers mid-round and between rounds and checks the
+service's survival contract: the round completes with the surviving
+clients, the lost count lands on the :class:`RoundRecord`, and
+reconnecting workers are admitted at the next round boundary.  The
+lifecycle suite does the same at task boundaries, which run on the
+workers: a worker lost there costs no client, and a worker that joins
+between tasks takes its share of the clients.
 """
 
 from __future__ import annotations
@@ -306,12 +305,12 @@ def config():
 
 
 def run_with_engine(spec, config, method, engine, participation=None,
-                    transport=None, shards=1):
+                    transport=None):
     """A fresh benchmark + trainer per run so both engines start identically."""
     bench = build_benchmark(spec, num_clients=3, rng=np.random.default_rng(0))
     trainer = create_trainer(
         method, bench, config, cluster=jetson_cluster(), engine=engine,
-        participation=participation, transport=transport, shards=shards,
+        participation=participation, transport=transport,
     )
     try:
         result = trainer.run()
@@ -359,40 +358,6 @@ class TestSocketBitIdentity:
             participation=participation, transport=transport,
         )
         assert_identical(reference, socketed)
-
-    def test_sharded_socket_matches_serial(self, spec, config):
-        ref_result, ref_state = run_with_engine(
-            spec, config, "fedavg", "serial"
-        )
-
-        def received(shards):
-            """A socket run plus the frames and bytes the parent received."""
-            before = (METRICS.value("rpc.frames_received"),
-                      METRICS.value("rpc.bytes_received"))
-            run = run_with_engine(
-                spec, config, "fedavg", "socket:2", shards=shards
-            )
-            after = (METRICS.value("rpc.frames_received"),
-                     METRICS.value("rpc.bytes_received"))
-            return run, (after[0] - before[0], after[1] - before[1])
-
-        (got_result, got_state), sharded_wire = received(3)
-        _, unsharded_wire = received(1)
-        # shard accounting lands on the records (so full record equality is
-        # out by design); the model trajectory must still be bit-identical
-        assert np.array_equal(
-            ref_result.accuracy_matrix, got_result.accuracy_matrix,
-            equal_nan=True,
-        )
-        for key in ref_state:
-            assert np.array_equal(ref_state[key], got_state[key]), key
-        for ref_round, got_round in zip(ref_result.rounds, got_result.rounds):
-            assert ref_round.upload_bytes == got_round.upload_bytes
-            assert ref_round.mean_loss == got_round.mean_loss
-            assert got_round.shard_reported, "round ran unsharded"
-        # workers only train: sharding adds no frame and no byte to what
-        # the parent receives
-        assert sharded_wire == unsharded_wire
 
 
 class TestRemoteWorkers:
@@ -447,9 +412,8 @@ class _DyingClient(SGDClient):
 
 
 class TestWorkerDeathMidRound:
-    @pytest.mark.parametrize("shards", [1, 2])
     def test_round_completes_and_records_lost_clients(
-        self, spec, config, tmp_path, shards
+        self, spec, config, tmp_path
     ):
         token = tmp_path / "poison.token"
         token.write_text("armed")
@@ -460,7 +424,7 @@ class TestWorkerDeathMidRound:
             )
             trainer = create_trainer(
                 "fedavg", bench, config, cluster=jetson_cluster(),
-                engine="socket:2", shards=shards,
+                engine="socket:2",
             )
             trainer.clients[0].__class__ = _DyingClient
             try:
@@ -477,9 +441,6 @@ class TestWorkerDeathMidRound:
         assert not poisoned.skipped
         assert poisoned.reported_clients >= 1
         assert poisoned.reported_clients + poisoned.lost <= 3
-        if shards > 1:
-            # the survivors' updates went through the shard fold
-            assert sum(poisoned.shard_reported) == poisoned.reported_clients
         # the worker died exactly once: every later round ran clean
         after = lost_counts[lost_counts.index(poisoned.lost) + 1:]
         assert all(count == 0 for count in after)

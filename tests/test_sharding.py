@@ -1,13 +1,11 @@
-"""Tests for the sharded population subsystem.
+"""Tests for partitions, execution bit-identity and pickle safety.
 
-Covers the three contracts the subsystem rests on:
-
-* **aggregation bit-identity** — :class:`ShardedAggregator` at any shard
-  count produces the same bytes as the unsharded server (the fixed merge
-  tree), including large rounds, sparse/bytes uploads and staleness
-  discounts;
-* **execution bit-identity** — serial == socket == sharded training
-  runs, across participation policies and scenario families;
+* **partitions** — ``shard_slices``, the contiguous split behind the
+  server's merge segments and the simulator's reporting shards;
+* **empty rounds** — the server refuses them and the trainer records them
+  as skipped;
+* **execution bit-identity** — serial == socket training runs, across
+  participation policies and scenario families;
 * **pickle safety** — clients, task streams and the client-data factory
   survive the process boundary unchanged.
 """
@@ -23,11 +21,9 @@ from repro.data import ClientDataFactory, cifar100_like, create_scenario
 from repro.edge import jetson_cluster, jetson_raspberry_cluster
 from repro.edge.network import NetworkModel
 from repro.federated import (
-    MERGE_SEGMENTS,
     ClientUpdate,
     DeadlineParticipation,
     FedAvgServer,
-    ShardedAggregator,
     TrainConfig,
     create_policy,
     create_trainer,
@@ -35,7 +31,6 @@ from repro.federated import (
 )
 from repro.metrics.io import result_from_dict, result_to_dict
 from repro.metrics.tracker import RoundRecord
-from repro.utils.serialization import encode_state, sparse_topk
 
 
 @pytest.fixture
@@ -49,25 +44,12 @@ def config():
                        iterations_per_round=3)
 
 
-def make_updates(n, rng, dim=2000, with_int_key=True):
-    updates = []
-    for i in range(n):
-        state = {"w": rng.normal(size=(dim,)).astype(np.float32),
-                 "b": rng.normal(size=(7,)).astype(np.float32)}
-        if with_int_key:
-            state["steps"] = np.array(100 + i, dtype=np.int64)
-        updates.append(ClientUpdate(
-            client_id=i, state=state, num_samples=int(rng.integers(10, 100))
-        ))
-    return updates
-
-
 def states_equal(a, b):
     return set(a) == set(b) and all(np.array_equal(a[k], b[k]) for k in a)
 
 
 # ----------------------------------------------------------------------
-# shard partitioning
+# contiguous partitions
 # ----------------------------------------------------------------------
 class TestShardSlices:
     def test_even_partition(self):
@@ -93,97 +75,19 @@ class TestShardSlices:
 
 
 # ----------------------------------------------------------------------
-# aggregation bit-identity
+# empty rounds
 # ----------------------------------------------------------------------
-class TestShardedAggregator:
-    @pytest.mark.parametrize("n", [5, 16, MERGE_SEGMENTS, 150])
-    def test_bit_identical_to_server_for_any_shard_count(self, n):
-        rng = np.random.default_rng(0)
-        updates = make_updates(n, rng, dim=500)
-        reference = FedAvgServer().aggregate_updates(updates)
-        for k in (1, 2, 3, 4, 7, 16, 64, 200):
-            sharded = ShardedAggregator(FedAvgServer(), k)
-            out = sharded.aggregate_updates(updates)
-            assert states_equal(reference, out), f"shards={k} diverged"
-            assert sum(sharded.last_shard_counts) == n
-
-    def test_integer_buffers_come_from_first_client(self):
-        rng = np.random.default_rng(1)
-        updates = make_updates(6, rng, dim=50)
-        out = ShardedAggregator(FedAvgServer(), 3).aggregate_updates(updates)
-        assert out["steps"] == updates[0].state["steps"]
-
-    def test_bytes_uploads_accepted(self):
-        rng = np.random.default_rng(2)
-        updates = make_updates(6, rng, dim=100, with_int_key=False)
-        reference = FedAvgServer().aggregate_updates(
-            [ClientUpdate(u.client_id, dict(u.state), u.num_samples)
-             for u in updates]
-        )
-        encoded = [
-            ClientUpdate(u.client_id, encode_state(u.state), u.num_samples)
-            for u in updates
-        ]
-        out = ShardedAggregator(FedAvgServer(), 4).aggregate_updates(encoded)
-        assert states_equal(reference, out)
-
-    def test_sparse_uploads_materialise_against_global_state(self):
-        rng = np.random.default_rng(3)
-        base = {"w": rng.normal(size=(400,)).astype(np.float32)}
-        dense = [
-            {"w": base["w"] + rng.normal(scale=0.1, size=(400,)).astype(np.float32)}
-            for _ in range(5)
-        ]
-        sparse = [{"w": sparse_topk(d["w"] - base["w"], 40)} for d in dense]
-        server_a, server_b = FedAvgServer(), FedAvgServer()
-        server_a.aggregate([base], [1])
-        server_b.aggregate([base], [1])
-        reference = server_a.aggregate(sparse, [1] * 5)
-        out = ShardedAggregator(server_b, 3).aggregate_updates(
-            [ClientUpdate(i, s, 1) for i, s in enumerate(sparse)]
-        )
-        assert states_equal(reference, out)
-
-    def test_staleness_discount_matches_server(self):
-        rng = np.random.default_rng(4)
-        updates = make_updates(6, rng, dim=200)
-        updates[2].staleness = 1
-        updates[5].staleness = 2
-        reference = FedAvgServer().aggregate_updates(
-            updates, staleness_discount=0.25
-        )
-        out = ShardedAggregator(FedAvgServer(), 4).aggregate_updates(
-            updates, staleness_discount=0.25
-        )
-        assert states_equal(reference, out)
-
-    def test_shard_counts_partition_the_round(self):
-        rng = np.random.default_rng(6)
-        updates = make_updates(10, rng, dim=50)
-        sharded = ShardedAggregator(FedAvgServer(), 4)
-        sharded.aggregate_updates(updates)
-        assert sharded.last_shard_counts == (3, 3, 2, 2)
-
-
 class TestEmptyRounds:
     def test_server_rejects_empty_round(self):
         with pytest.raises(ValueError, match="zero reported clients"):
             FedAvgServer().aggregate_updates([])
-
-    def test_sharded_rejects_empty_round(self):
-        with pytest.raises(ValueError, match="zero reported clients"):
-            ShardedAggregator(FedAvgServer(), 4).aggregate_updates([])
-
-    def test_merge_rejects_empty_partials(self):
-        with pytest.raises(ValueError, match="zero reported clients"):
-            ShardedAggregator(FedAvgServer(), 2).merge([])
 
     def test_zero_weights_rejected(self):
         updates = [
             ClientUpdate(0, {"w": np.ones(3, np.float32)}, num_samples=0)
         ]
         with pytest.raises(ValueError, match="positive"):
-            ShardedAggregator(FedAvgServer(), 2).aggregate_updates(updates)
+            FedAvgServer().aggregate_updates(updates)
 
     def test_inconsistent_keys_rejected(self):
         updates = [
@@ -191,7 +95,7 @@ class TestEmptyRounds:
             ClientUpdate(1, {"v": np.ones(3, np.float32)}, 1),
         ]
         with pytest.raises(ValueError, match="inconsistent"):
-            ShardedAggregator(FedAvgServer(), 2).aggregate_updates(updates)
+            FedAvgServer().aggregate_updates(updates)
 
     def test_trainer_records_empty_round_as_skipped(self, spec, config):
         bench = create_scenario("class-inc").build(
@@ -223,7 +127,6 @@ def run_matrix_config(
     config,
     method="fedavg",
     engine="serial",
-    shards=1,
     participation=None,
     scenario="class-inc",
     num_clients=4,
@@ -241,7 +144,7 @@ def run_matrix_config(
     )
     with create_trainer(
         method, bench, config, cluster=jetson_cluster(), engine=engine,
-        shards=shards, participation=participation, data_factory=factory,
+        participation=participation, data_factory=factory,
     ) as trainer:
         result = trainer.run()
         state = {k: v.copy() for k, v in trainer.server.global_state.items()}
@@ -270,17 +173,10 @@ def assert_runs_identical(reference, other):
 
 class TestExecutionMatrix:
     # "process" in a test name means out of process: the socket engine
-    @pytest.mark.parametrize("engine,shards", [
-        ("socket:2", 1),
-        ("serial", 3),
-        ("socket:2", 3),  # socket rounds fold their shards on the server
-    ])
-    def test_fedavg_class_inc_full(self, spec, config, engine, shards):
+    def test_fedavg_class_inc_full(self, spec, config):
         reference = run_matrix_config(spec, config)
-        other = run_matrix_config(spec, config, engine=engine, shards=shards)
+        other = run_matrix_config(spec, config, engine="socket:2")
         assert_runs_identical(reference, other)
-        if shards > 1:
-            assert sum(other[0].rounds[0].shard_reported) == 4
 
     def test_fedknow_process_matches_serial(self, spec, config):
         reference = run_matrix_config(spec, config, method="fedknow")
@@ -293,13 +189,13 @@ class TestExecutionMatrix:
         "label-shift:dirichlet:0.5",
         "blurry:overlap=0.3",
     ])
-    def test_scenario_families_process_and_sharded(self, spec, config, scenario):
+    def test_scenario_families_process(self, spec, config, scenario):
         reference = run_matrix_config(
             spec, config, participation="sampled:0.5", scenario=scenario
         )
         other = run_matrix_config(
             spec, config, participation="sampled:0.5", scenario=scenario,
-            engine="socket:2", shards=2,
+            engine="socket:2",
         )
         assert_runs_identical(reference, other)
 
@@ -510,12 +406,10 @@ class TestShardRecordIO:
         record = RoundRecord(
             position=0, round_index=0, upload_bytes=10, download_bytes=10,
             sim_train_seconds=1.0, sim_comm_seconds=1.0, active_clients=4,
-            mean_loss=0.1, shard_reported=(2, 2), skipped=False,
+            mean_loss=0.1, skipped=True,
         )
         payload = result_to_dict(self._result(record))
         assert "merge_seconds" not in payload["rounds"][0]
-        # older payloads still carry the retired merge timer: ignored
-        payload["rounds"][0]["merge_seconds"] = 0.25
         loaded = result_from_dict(payload)
         assert loaded.rounds[0] == record
 
@@ -527,9 +421,11 @@ class TestShardRecordIO:
         )
         payload = result_to_dict(self._result(record))
         for entry in payload["rounds"]:
-            del entry["shard_reported"]
+            # older payloads carry per-shard counts and a merge timer, and
+            # the oldest lack ``skipped``: the counts and timer are ignored
+            entry["shard_reported"] = [2, 2]
+            entry["merge_seconds"] = 0.25
             del entry["skipped"]
         loaded = result_from_dict(payload)
-        assert loaded.rounds[0].shard_reported == ()
-        assert not loaded.rounds[0].skipped
+        assert loaded.rounds[0] == record
         assert loaded.skipped_rounds == 0
